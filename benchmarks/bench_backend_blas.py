@@ -27,6 +27,7 @@ from repro.runtime import (
     blas_available,
     random_instance_arrays,
 )
+from repro.runtime.backends.toolchain import reset_toolchain_cache
 
 from conftest import emit
 
@@ -129,17 +130,33 @@ def test_blas_backend_acceptance(benchmark):
     )
 
 
+@pytest.fixture
+def no_c_toolchain(monkeypatch):
+    """Mask C compiler discovery, pinning ``auto`` to {reference, blas}.
+
+    The same ``REPRO_DISABLE_CC`` masking as the CI degradation step;
+    without it the ``c`` lowering joins the tournament on any host with a
+    compiler and usually wins.
+    """
+    monkeypatch.setenv("REPRO_DISABLE_CC", "1")
+    reset_toolchain_cache()
+    yield
+    monkeypatch.delenv("REPRO_DISABLE_CC")
+    reset_toolchain_cache()
+
+
 @needs_blas
-def test_auto_strategy_picks_blas(benchmark):
+def test_auto_strategy_picks_blas(benchmark, no_c_toolchain):
     """Timed: the auto dispatcher after its one-off micro-benchmark.
 
-    ``auto`` measures both lowered plans once per ``(variant, sizes)``
-    memo entry; on a structured chain the blas lowering must win, and the
-    verdict must be cached (no re-measurement on the warm path).
+    ``auto`` measures the reference and blas plans once per
+    ``(variant, sizes)`` memo entry; on a structured chain the blas
+    lowering must win, and the verdict must be cached (no re-measurement
+    on the warm path).
     """
     gen = _compiled(GATE_SOURCE)
     sizes, arrays = _instance(gen, 512)
-    runtime = gen.program.runtime(backend="auto")
+    runtime = gen.program.to_dispatcher(backend="auto")  # fresh memo
     out = runtime(*arrays)
     np.testing.assert_allclose(
         out, _plan(gen, sizes, "reference").execute(arrays),
@@ -148,8 +165,23 @@ def test_auto_strategy_picks_blas(benchmark):
     stats = runtime.memo_stats()
     assert stats["backend"] == "auto"
     assert stats["executions"].get("blas", 0) >= 1, stats
+    assert stats["auto_wins"] == {"blas": 1}, stats
     benchmark(runtime, *arrays)
     benchmark.extra_info["memo"] = runtime.memo_stats()
+
+
+@needs_blas
+def test_auto_strategy_lowers_natively():
+    """Unpinned, the tournament may pick blas or c — never reference."""
+    gen = _compiled(GATE_SOURCE)
+    sizes, arrays = _instance(gen, 512)
+    runtime = gen.program.to_dispatcher(backend="auto")  # fresh memo
+    np.testing.assert_allclose(
+        runtime(*arrays), _plan(gen, sizes, "reference").execute(arrays),
+        rtol=1e-9, atol=1e-9,
+    )
+    wins = runtime.memo_stats()["auto_wins"]
+    assert sum(wins.values()) == 1 and set(wins) <= {"blas", "c"}, wins
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024, 2048])

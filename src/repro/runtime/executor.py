@@ -292,7 +292,10 @@ def random_matrix(
         a = rng.standard_normal((n, n))
         t = np.tril(a) if structure is Structure.LOWER_TRIANGULAR else np.triu(a)
         if prop.is_invertible:
-            d = np.abs(np.diag(t)) + 1.0
+            # The strictly triangular Gaussian part has norm ~sqrt(n); a
+            # diagonal of 2 sqrt(n) keeps the condition number near 3 at
+            # any n (a unit-scale diagonal reaches ~1e17 by n = 300).
+            d = np.abs(np.diag(t)) + 2.0 * np.sqrt(n)
             t[np.arange(n), np.arange(n)] = d
         return t
     if structure is Structure.DIAGONAL:

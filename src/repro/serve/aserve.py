@@ -26,8 +26,26 @@ anything but ``compile`` under :attr:`AsyncCompileServer.inline_bytes`)
 are answered *inline* on the event loop: for the serving hot path — warm
 handles, small operands — that removes two thread hops per request, which
 is where the async server's throughput edge over thread-per-connection
-comes from.  Big payloads and compiles are offloaded so the loop never
-blocks on them.
+comes from.  Big payloads, compiles and shm executes are offloaded so the
+loop never blocks on them.  The inline bound is set by measured cost: an
+inline request should take under about 1 ms of server CPU.  For warm
+base64-``npy`` executes (``handle_request`` plus JSON on the benchmark's
+4-6 matrix chains, sizes 8-96; median thread CPU time per line-size bin,
+scaled to the reference speed of ``perfbench/hostspeed.py`` on a 2-vCPU
+x86 host) the cost grows with the line size:
+
+==========  ==========
+line size   server CPU
+==========  ==========
+39 KiB      ~140 us
+63 KiB      ~180 us
+129 KiB     ~365 us
+184 KiB     ~420 us
+253 KiB     ~660 us
+418 KiB     ~2000 us
+==========  ==========
+
+so lines up to 256 KiB stay on the loop.
 
 The event loop runs in a dedicated thread, so the synchronous CLI (and
 tests) drive the server with plain :meth:`AsyncCompileServer.start` /
@@ -55,9 +73,12 @@ from repro.serve.service import CompileService
 
 __all__ = ["AsyncCompileServer", "make_async_server"]
 
-#: Requests at most this many wire bytes (and not ``compile``) are
-#: answered inline on the event loop; larger ones go to the worker pool.
-DEFAULT_INLINE_BYTES = 64 * 1024
+#: Requests at most this many wire bytes (and not ``compile`` or an shm
+#: execute) are answered inline on the event loop; larger ones go to the
+#: worker pool.  Warm npy execute lines up to 256 KiB cost well under
+#: 1 ms of server CPU at reference host speed, lines past ~400 KiB about
+#: 2 ms (the module docstring has the measured line-size table).
+DEFAULT_INLINE_BYTES = 256 * 1024
 
 #: Bound on requests concurrently offloaded to the worker pool (the
 #: semaphore that turns a compile storm into queueing, not thread growth).
@@ -221,9 +242,9 @@ class AsyncCompileServer:
             and not _shm_operands(payload)
         ):
             # Cheap path: answered on the loop, no thread hop.  Every op
-            # but compile is sub-millisecond at this payload size (warm
-            # execute included — the kernels on small operands cost less
-            # than the executor round-trip would).  shm executes are
+            # but compile is about a millisecond or less at this payload
+            # size (warm execute included — see DEFAULT_INLINE_BYTES).
+            # shm executes are
             # excluded: their wire line is tiny but the mapped operands
             # are not, and the kernels would block the loop.
             return json.dumps(handle_request(self.compile_service, payload))

@@ -75,6 +75,8 @@ from __future__ import annotations
 import base64
 import io
 import json
+import math
+import re
 import socket
 import socketserver
 import threading
@@ -132,21 +134,99 @@ def as_wire_array(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array)
 
 
+#: The v1.0 ``.npy`` preamble (magic string + format version) — the only
+#: revision the fixed-format codec speaks; anything else takes numpy's parser.
+_NPY_V1_MAGIC = b"\x93NUMPY\x01\x00"
+
+#: numpy's default ``max_header_size``: longer headers are refused by its
+#: parser, so the fast decoder must not accept them either.
+_NPY_MAX_HEADER = 10_000
+
+#: Little-endian numeric descrs with a fixed-format fast path (both
+#: directions); every other dtype goes through ``np.lib.format``.
+_FAST_DTYPES = {descr: np.dtype(descr) for descr in ("<f8", "<f4", "<i8")}
+
+_NPY_DIM = rb"(?:0|[1-9][0-9]*)"
+
+#: The exact header text ``np.save`` writes for a whitelisted dtype: keys
+#: sorted, ``repr`` spacing, then space padding and one newline.  The
+#: match is anchored over the declared header length, so any variation
+#: (key order, extra spaces, v2/v3 headers, big-endian or object descrs,
+#: negative or zero-padded dims) misses and falls back to numpy.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '("
+    + b"|".join(re.escape(d.encode()) for d in _FAST_DTYPES)
+    + rb")', 'fortran_order': (True|False), 'shape': \(("
+    + rb"|" + _NPY_DIM + rb",|" + _NPY_DIM + rb"(?:, " + _NPY_DIM + rb")+"
+    + rb")\), \} *\n"
+)
+
+
+def _npy_header(array: np.ndarray) -> bytes:
+    """The v1.0 header ``np.save`` writes for ``array`` (C or F contiguous).
+
+    Rendered directly for whitelisted dtypes — byte-identical to numpy's
+    writer, including the growth-axis spaces and 64-byte alignment —
+    and through ``np.lib.format`` otherwise.
+    """
+    descr = array.dtype.str
+    if descr not in _FAST_DTYPES:
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, np.lib.format.header_data_from_array_1_0(array)
+        )
+        return header.getvalue()
+    fortran = not array.flags.c_contiguous
+    shape = array.shape
+    text = (
+        f"{{'descr': '{descr}', 'fortran_order': {fortran}, "
+        f"'shape': {shape!r}, }}"
+    )
+    if shape:
+        # numpy's spare room for growing the leading (C) / trailing (F)
+        # axis in place: padding up to 21 digits (GROWTH_AXIS_MAX_DIGITS).
+        text += " " * (21 - len(repr(shape[-1 if fortran else 0])))
+    pad = 64 - (len(_NPY_V1_MAGIC) + 2 + len(text) + 1) % 64
+    length = len(text) + pad + 1
+    return b"".join((
+        _NPY_V1_MAGIC,
+        length.to_bytes(2, "little"),
+        text.encode("latin-1"),
+        b" " * pad,
+        b"\n",
+    ))
+
+
 def array_to_npy_bytes(array: np.ndarray) -> bytes:
     """The standard ``.npy`` byte stream, without the ``BytesIO`` detour.
 
     ``np.save`` writes header + data into a growing ``BytesIO`` and
     ``getvalue()`` copies the lot back out; here the (tiny) header is
-    rendered once and joined directly with the array's existing buffer —
-    one copy total, none for the header round-trip.
+    rendered directly and joined with the array's existing buffer — one
+    copy total, none for the header round-trip.
     """
     array = as_wire_array(array)
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        header, np.lib.format.header_data_from_array_1_0(array)
-    )
     data = array if array.flags.c_contiguous else array.T
-    return b"".join((header.getvalue(), memoryview(data).cast("B")))
+    body = memoryview(data).cast("B") if array.size else b""
+    return b"".join((_npy_header(array), body))
+
+
+def _npy_view(
+    raw: bytes, shape: tuple, fortran: bool, dtype: np.dtype, offset: int
+) -> np.ndarray:
+    """The read-only array over ``raw[offset:]``, refusing the shapes
+    ``np.load`` refuses (negative dims, more data than the buffer holds)."""
+    if any(dim < 0 for dim in shape):
+        raise ValueError(f"negative dimensions are not allowed: {shape}")
+    count = math.prod(shape)
+    needed = count * dtype.itemsize
+    if needed > len(raw) - offset:
+        raise ValueError(
+            f"npy data holds {len(raw) - offset} bytes; shape {shape} "
+            f"of {dtype} needs {needed}"
+        )
+    array = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+    return array.reshape(shape, order="F" if fortran else "C")
 
 
 def npy_bytes_to_array(raw: bytes) -> np.ndarray:
@@ -154,8 +234,22 @@ def npy_bytes_to_array(raw: bytes) -> np.ndarray:
 
     The returned array aliases ``raw`` (kernels only read operands, so a
     read-only view feeds straight into execution); pickled payloads are
-    rejected exactly like ``np.load(allow_pickle=False)``.
+    rejected exactly like ``np.load(allow_pickle=False)``.  Canonical v1.0
+    headers of whitelisted dtypes — everything :func:`array_to_npy_bytes`
+    and ``np.save`` write for them — are parsed by one anchored regex;
+    all other headers take numpy's own (``ast.literal_eval``) parser.
     """
+    if raw[:8] == _NPY_V1_MAGIC:
+        offset = 10 + int.from_bytes(raw[8:10], "little")
+        if offset - 10 <= _NPY_MAX_HEADER:
+            match = _NPY_HEADER.fullmatch(raw, 10, offset)
+            if match is not None:
+                descr, fortran, dims = match.groups()
+                shape = tuple(int(dim) for dim in dims.split(b",") if dim)
+                return _npy_view(
+                    raw, shape, fortran == b"True",
+                    _FAST_DTYPES[descr.decode()], offset,
+                )
     stream = io.BytesIO(raw)
     version = np.lib.format.read_magic(stream)
     if version == (1, 0):
@@ -167,11 +261,7 @@ def npy_bytes_to_array(raw: bytes) -> np.ndarray:
         return np.load(stream, allow_pickle=False)
     if dtype.hasobject:
         raise ValueError("object arrays cannot be decoded (allow_pickle=False)")
-    offset = stream.tell()
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    array = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    array = array.reshape(shape, order="F" if fortran else "C")
-    return array
+    return _npy_view(raw, shape, fortran, dtype, stream.tell())
 
 
 def encode_array(

@@ -168,6 +168,14 @@ class TestRandomMatrix:
         np.testing.assert_allclose(sym_orth, sym_orth.T)
         np.testing.assert_allclose(sym_orth @ sym_orth, np.eye(n), atol=1e-10)
 
+    @pytest.mark.parametrize("n", [50, 300, 1000])
+    def test_invertible_triangular_is_well_conditioned(self, n):
+        rng = np.random.default_rng(n)
+        for structure in (Structure.LOWER_TRIANGULAR, Structure.UPPER_TRIANGULAR):
+            for prop in (Property.NON_SINGULAR, Property.ORTHOGONAL):
+                t = random_matrix(structure, prop, n, n, rng)
+                assert np.linalg.cond(t) < 10.0, (structure, prop, n)
+
     def test_rectangular_only_for_general_singular(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ExecutionError):

@@ -10,9 +10,12 @@ import pytest
 from repro.serve import (
     AsyncCompileServer,
     CompileService,
+    aserve,
     decode_array,
     encode_array,
+    frontend,
     make_tcp_server,
+    shm,
 )
 
 SOURCE_AB = (
@@ -240,6 +243,88 @@ class TestHttp:
                 assert json.loads(response.read())["id"] == i
         finally:
             conn.close()
+
+
+class TestInlineDecision:
+    """Which thread answers a request: the event loop or a pool worker."""
+
+    LOOP = "repro-aserve-loop"
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        seen = []
+
+        def recording(service, payload):
+            seen.append((payload.get("op"), threading.current_thread().name))
+            return frontend.handle_request(service, payload)
+
+        monkeypatch.setattr(aserve, "handle_request", recording)
+        return seen
+
+    @staticmethod
+    def _execute_line(handle, arrays, **extra):
+        payload = {"op": "execute", "handle": handle, "arrays": arrays, **extra}
+        return payload, len(json.dumps(payload)) + 1
+
+    def _compile(self, stream):
+        compiled = request_line(stream, {"op": "compile", "source": SOURCE_AB})
+        assert compiled["ok"], compiled
+        return compiled["handle"]
+
+    def test_mid_size_npy_execute_runs_on_loop(self, server, threads):
+        a, b = np.ones((64, 64)), np.ones((64, 64))
+        with socket.create_connection(server.address) as conn:
+            stream = conn.makefile("rw")
+            handle = self._compile(stream)
+            payload, size = self._execute_line(
+                handle, [encode_array(a), encode_array(b)]
+            )
+            assert 64 * 1024 < size <= aserve.DEFAULT_INLINE_BYTES
+            response = request_line(stream, payload)
+        assert response["ok"], response
+        assert threads == [
+            ("compile", threads[0][1]),
+            ("execute", self.LOOP),
+        ]
+        assert threads[0][1].startswith("repro-aserve_")
+
+    def test_oversize_npy_execute_runs_on_pool(self, server, threads):
+        a, b = np.ones((128, 160)), np.ones((160, 128))
+        with socket.create_connection(server.address) as conn:
+            stream = conn.makefile("rw")
+            handle = self._compile(stream)
+            payload, size = self._execute_line(
+                handle, [encode_array(a), encode_array(b)]
+            )
+            assert size > aserve.DEFAULT_INLINE_BYTES
+            response = request_line(stream, payload)
+        assert response["ok"], response
+        assert np.allclose(decode_array(response["result"]), a @ b)
+        assert threads[-1][0] == "execute"
+        assert threads[-1][1].startswith("repro-aserve_")
+
+    @pytest.mark.skipif(
+        not shm.shm_available(), reason="shared memory unavailable on this host"
+    )
+    def test_shm_execute_runs_on_pool(self, server, threads):
+        a, b = np.ones((4, 5)), np.ones((5, 6))
+        (pa, sa), (pb, sb) = (shm.create_segment_payload(x) for x in (a, b))
+        try:
+            with socket.create_connection(server.address) as conn:
+                stream = conn.makefile("rw")
+                handle = self._compile(stream)
+                payload, size = self._execute_line(
+                    handle, [pa, pb], result_encoding="npy"
+                )
+                assert size < 64 * 1024
+                response = request_line(stream, payload)
+        finally:
+            for segment in (sa, sb):
+                segment.close()
+                segment.unlink()
+        assert response["ok"], response
+        assert threads[-1][0] == "execute"
+        assert threads[-1][1].startswith("repro-aserve_")
 
 
 class TestLifecycle:
