@@ -6,7 +6,9 @@ The PR-10 acceptance bar, enforced end-to-end over real sockets:
   operand sizes — through the new data plane (asyncio front end, shm
   operand transport, warm-arena replay) must beat the legacy plane
   (thread-per-connection server, base64 ``.npy`` strings) by >= 3x
-  throughput, with no client errors and a no-worse p99 latency.
+  throughput, with no client errors and a no-worse p99 latency.  The
+  legacy server is no longer part of the package; :class:`LegacyServer`
+  below rebuilds it so the baseline stays the same.
 - **shm execute** must beat base64-npy execute by >= 5x end-to-end
   latency for an n=1024 operand on one connection.
 - **Warm replay** on a memoized handle must allocate zero array-sized
@@ -15,6 +17,7 @@ The PR-10 acceptance bar, enforced end-to-end over real sockets:
 
 import json
 import socket
+import socketserver
 import threading
 import time
 import tracemalloc
@@ -22,14 +25,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.serve import (
-    AsyncCompileServer,
-    CompileService,
-    encode_array,
-    make_tcp_server,
-)
+from repro.serve import AsyncCompileServer, CompileService, encode_array
 from repro.serve import shm as shm_mod
-from repro.serve.frontend import handle_request
+from repro.serve.frontend import handle_line, handle_request
+from repro.serve.metrics import record_wire
 
 from conftest import emit
 
@@ -71,6 +70,40 @@ def zipf_plan(rng: np.random.Generator, requests: int) -> list[tuple]:
         else:
             plan.append(("ping",))
     return plan
+
+
+class _LegacyHandler(socketserver.StreamRequestHandler):
+    """Per request line, the work the removed thread-per-connection
+    handler did: read, count wire bytes, answer, write + flush, count."""
+
+    def handle(self) -> None:
+        service = self.server.compile_service
+        while True:
+            raw = self.rfile.readline()
+            if not raw:
+                return
+            record_wire("tcp", "in", len(raw))
+            response = handle_line(service, raw.decode("utf-8", "replace"))
+            if response is None:
+                continue
+            encoded = response.encode() + b"\n"
+            self.wfile.write(encoded)
+            self.wfile.flush()
+            record_wire("tcp", "out", len(encoded))
+
+
+class LegacyServer(socketserver.ThreadingTCPServer):
+    """The legacy plane's server: one daemon thread per connection."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+    # The socketserver default backlog of 5 resets connections under a
+    # 64-client stampede.
+    request_queue_size = 128
+
+    def __init__(self, service: CompileService):
+        super().__init__(("127.0.0.1", 0), _LegacyHandler)
+        self.compile_service = service
 
 
 @pytest.fixture(scope="module")
@@ -226,19 +259,20 @@ def test_mixed_traffic_new_plane_3x_legacy(service, handles, operands):
         pytest.skip("shared memory unavailable on this platform")
 
     legacy_best = new_best = None
-    server = make_tcp_server(service)
+    server = LegacyServer(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         for _ in range(3):
             rate, latencies, errors = run_load(
-                server.address, handles, operands, "npy"
+                server.server_address, handles, operands, "npy"
             )
             assert not errors, errors[:3]
             if legacy_best is None or rate > legacy_best[0]:
                 legacy_best = (rate, latencies)
     finally:
-        server.close()
+        server.shutdown()
+        server.server_close()
 
     with AsyncCompileServer(service) as server:
         for _ in range(3):

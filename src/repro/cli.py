@@ -300,7 +300,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.compiler.pipeline import CompileOptions
     from repro.compiler.session import CompilerSession
-    from repro.serve import CompileService, make_tcp_server, serve_stream
+    from repro.serve import AsyncCompileServer, CompileService, serve_stream
     from repro.serve.backends import default_backend
 
     _configure_codegen(args)
@@ -344,14 +344,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("process pool ready", file=sys.stderr)
     if service.warmed:
         print(f"warmed {service.warmed} cache entries", file=sys.stderr)
-    use_async = getattr(args, "async_frontend", False) or (
-        getattr(args, "http_port", None) is not None
-    )
     try:
-        if use_async:
-            from repro.serve import make_async_server
-
-            server = make_async_server(
+        if args.port is not None or args.http_port is not None:
+            server = AsyncCompileServer(
                 service,
                 args.host,
                 args.port if args.port is not None else 0,
@@ -371,14 +366,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
             try:
                 threading.Event().wait()  # until KeyboardInterrupt
-            finally:
-                server.close()
-        elif args.port is not None:
-            server = make_tcp_server(service, args.host, args.port)
-            host, port = server.address
-            print(f"serving JSON-lines on {host}:{port}", file=sys.stderr)
-            try:
-                server.serve_forever()
             finally:
                 server.close()
         else:
@@ -837,22 +824,28 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip cache warm-up on startup",
     )
-    p.add_argument("--port", type=int, default=None, help="serve TCP on this port")
+    p.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        help="serve JSON-lines over TCP on this port from one asyncio "
+        "event loop (0 picks a free port); without --port or --http-port "
+        "the protocol is served on stdin/stdout",
+    )
     p.add_argument("--host", default="127.0.0.1", help="TCP bind address")
     p.add_argument(
         "--async",
         dest="async_frontend",
         action="store_true",
-        help="serve the JSON-lines protocol from one asyncio event loop "
-        "instead of a thread per connection (scales to thousands of "
-        "mostly-idle connections; use with --port, 0 picks a free port)",
+        help="accepted and ignored: the TCP server is always the asyncio "
+        "one (kept so existing command lines still parse)",
     )
     p.add_argument(
         "--http-port",
         type=int,
         default=None,
-        help="additionally accept HTTP/1.1 POSTs of JSON request bodies "
-        "on this port (implies --async; 0 picks a free port)",
+        help="also accept HTTP/1.1 POSTs of JSON request bodies on this "
+        "port (0 picks a free port)",
     )
     p.add_argument(
         "--max-requests",

@@ -6,13 +6,13 @@ request coalescing (:mod:`repro.serve.service`), pluggable shared cache
 backends (:mod:`repro.serve.backends`), service metrics
 (:mod:`repro.serve.metrics`), a stdlib-only JSON-lines front end
 (:mod:`repro.serve.frontend`, exposed as the ``repro serve`` CLI command),
-its asyncio sibling multiplexing thousands of connections on one event
-loop (:mod:`repro.serve.aserve`, ``repro serve --async`` /
+its TCP server multiplexing thousands of connections on one asyncio event
+loop (:mod:`repro.serve.aserve`, ``repro serve --port`` /
 ``--http-port``), and a zero-copy shared-memory operand transport for
 same-host clients (:mod:`repro.serve.shm`).
 """
 
-from repro.serve.aserve import AsyncCompileServer, make_async_server
+from repro.serve.aserve import AsyncCompileServer
 from repro.serve.backends import (
     CacheBackend,
     DiskBackend,
@@ -21,11 +21,9 @@ from repro.serve.backends import (
     default_backend,
 )
 from repro.serve.frontend import (
-    CompileServer,
     decode_array,
     encode_array,
     handle_request,
-    make_tcp_server,
     serve_stream,
 )
 from repro.serve.metrics import ServiceMetrics, percentile
@@ -39,12 +37,9 @@ __all__ = [
     "TieredBackend",
     "default_backend",
     "AsyncCompileServer",
-    "make_async_server",
-    "CompileServer",
     "decode_array",
     "encode_array",
     "handle_request",
-    "make_tcp_server",
     "serve_stream",
     "ServiceMetrics",
     "percentile",

@@ -1,15 +1,14 @@
-"""Asyncio front end: one event loop, thousands of connections.
+"""Asyncio TCP server: one event loop, thousands of connections.
 
-The threaded :class:`~repro.serve.frontend.CompileServer` spends one OS
-thread per connection — fine for a handful of clients, but at 64+ mostly
-idle connections the per-thread stacks and GIL churn dominate.  This
-front end multiplexes every connection onto **one** event loop:
+The only socket server for the JSON-lines protocol (``repro serve
+--port``).  Every connection is multiplexed onto **one** event loop
+instead of one OS thread each, so 64+ mostly idle connections cost no
+per-thread stacks or GIL churn:
 
-* the same JSON-lines protocol (:func:`~repro.serve.frontend.handle_line`
-  answers each request, so the two servers cannot drift), with
-  per-connection buffers bounded by ``max_line_bytes`` — an oversize line
-  is answered in-band and the connection closed, exactly like the
-  threaded server;
+* the JSON-lines protocol (:func:`~repro.serve.frontend.handle_request`
+  answers each request, the same function the stdin/stdout mode uses),
+  with per-connection buffers bounded by ``max_line_bytes`` — an
+  oversize line is answered in-band and the connection closed;
 * a minimal HTTP/1.1 mapping on a second port: ``POST`` a JSON request
   body (the same schema as one protocol line) to any path and get the
   JSON response back, keep-alive honoured — enough for ``curl`` and
@@ -50,8 +49,8 @@ so lines up to 256 KiB stay on the loop.
 The event loop runs in a dedicated thread, so the synchronous CLI (and
 tests) drive the server with plain :meth:`AsyncCompileServer.start` /
 :meth:`~AsyncCompileServer.close` calls; :meth:`close` is deterministic —
-servers closed, every connection task cancelled and awaited, worker pool
-shut down, loop thread joined.
+servers closed, every connection task cancelled and awaited, loop thread
+joined, queued offloads cancelled and the worker pool threads joined.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ import asyncio
 import contextlib
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -71,7 +71,7 @@ from repro.serve.frontend import (
 from repro.serve.metrics import connection_closed, connection_opened, record_wire
 from repro.serve.service import CompileService
 
-__all__ = ["AsyncCompileServer", "make_async_server"]
+__all__ = ["AsyncCompileServer"]
 
 #: Requests at most this many wire bytes (and not ``compile`` or an shm
 #: execute) are answered inline on the event loop; larger ones go to the
@@ -127,6 +127,9 @@ class AsyncCompileServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._pool: Optional[ThreadPoolExecutor] = None
+        #: Worker threads of ``_pool`` (recorded as they start), joined
+        #: by :meth:`close`.
+        self._pool_threads: list[threading.Thread] = []
         self._server: Optional[asyncio.base_events.Server] = None
         self._http_server: Optional[asyncio.base_events.Server] = None
         self._semaphore: Optional[asyncio.Semaphore] = None
@@ -146,6 +149,7 @@ class AsyncCompileServer:
         self._pool = ThreadPoolExecutor(
             max_workers=max(4, min(self.max_inflight, 16)),
             thread_name_prefix="repro-aserve",
+            initializer=self._record_pool_thread,
         )
         self._thread = threading.Thread(
             target=self._run_loop, name="repro-aserve-loop", daemon=True
@@ -159,6 +163,9 @@ class AsyncCompileServer:
             self.close()
             raise
         return self
+
+    def _record_pool_thread(self) -> None:
+        self._pool_threads.append(threading.current_thread())
 
     def _run_loop(self) -> None:
         asyncio.set_event_loop(self._loop)
@@ -189,21 +196,34 @@ class AsyncCompileServer:
             self.http_address = (sock[0], sock[1])
 
     def close(self, timeout: float = 5.0) -> None:
-        """Deterministic shutdown: listeners, connections, pool, loop."""
+        """Deterministic shutdown: listeners, connections, loop, pool.
+
+        Clients get EOF as soon as their connection tasks are cancelled;
+        offloads still queued in the worker pool are cancelled, and the
+        pool threads finishing running requests are joined.  Every wait
+        shares one ``timeout`` deadline.
+        """
         if self._closed or self._loop is None:
             return
         self._closed = True
+        deadline = time.monotonic() + timeout
+
+        def remaining() -> float:
+            return max(0.0, deadline - time.monotonic())
+
         with contextlib.suppress(Exception):
             asyncio.run_coroutine_threadsafe(
                 self._shutdown(), self._loop
-            ).result(timeout=timeout)
+            ).result(timeout=remaining())
         self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(timeout=remaining())
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            for thread in self._pool_threads:
+                thread.join(timeout=remaining())
         with contextlib.suppress(Exception):
             self._loop.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
 
     async def _shutdown(self) -> None:
         for server in (self._server, self._http_server):
@@ -269,8 +289,7 @@ class AsyncCompileServer:
                     raw = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
                     # Oversize line: the buffer holds a partial request we
-                    # can never resync from — answer in-band and close,
-                    # mirroring the threaded server.
+                    # can never resync from — answer in-band and close.
                     await self._write_line(
                         writer,
                         json.dumps(
@@ -443,17 +462,3 @@ async def _close_writer(writer: asyncio.StreamWriter) -> None:
         writer.close()
         await writer.wait_closed()
 
-
-def make_async_server(
-    service: CompileService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    http_port: Optional[int] = None,
-    max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-) -> AsyncCompileServer:
-    """Build (without starting) an :class:`AsyncCompileServer` —
-    the asyncio sibling of :func:`~repro.serve.frontend.make_tcp_server`."""
-    return AsyncCompileServer(
-        service, host, port, http_port=http_port, max_line_bytes=max_line_bytes
-    )

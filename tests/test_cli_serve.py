@@ -2,9 +2,19 @@
 
 import io
 import json
+import os
+import queue
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 SOURCE = (
@@ -104,6 +114,57 @@ class TestServeCommand:
             ],
         )
         assert [r["ok"] for r in responses] == [False, False]
+
+
+class TestServeTcp:
+    @pytest.mark.parametrize("extra_args", [[], ["--async"]])
+    def test_port_serves_asyncio_and_exits_on_sigint(self, extra_args):
+        """`--port` binds the asyncio server; `--async` is a no-op alias.
+
+        The ready line is the one load generators wait for, so it is
+        pinned exactly."""
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", *extra_args,
+             "--host", "127.0.0.1", "--port", "0"],
+            env=env,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        lines: queue.Queue = queue.Queue()
+
+        def drain_stderr():
+            for line in proc.stderr:
+                lines.put(line)
+
+        threading.Thread(target=drain_stderr, daemon=True).start()
+        try:
+            ready = ""
+            while "serving" not in ready:
+                ready = lines.get(timeout=60).rstrip("\n")
+            match = re.fullmatch(
+                r"serving JSON-lines \(asyncio\) on 127\.0\.0\.1:(\d+)", ready
+            )
+            assert match, ready
+            address = ("127.0.0.1", int(match.group(1)))
+            with socket.create_connection(address, timeout=10) as conn:
+                stream = conn.makefile("rw")
+                stream.write(json.dumps({"op": "ping", "id": 1}) + "\n")
+                stream.flush()
+                response = json.loads(stream.readline())
+            assert response["ok"] is True and response["pong"] is True
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 class TestCacheWarmCommand:

@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from repro.serve import (
     decode_array,
     encode_array,
     frontend,
-    make_tcp_server,
     shm,
 )
 
@@ -348,22 +348,48 @@ class TestLifecycle:
         conn.close()
 
 
-class TestThreadedServerShutdown:
-    def test_threaded_close_joins_connections_and_sends_eof(self, service):
-        server = make_tcp_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        conn = socket.create_connection(server.address)
-        stream = conn.makefile("rw")
-        stream.write(json.dumps({"op": "ping"}) + "\n")
-        stream.flush()
-        assert json.loads(stream.readline())["ok"] is True
-        assert server.connection_count() == 1
-        server.close(timeout=5.0)
-        # Deterministic: no live handler threads after close() returns.
-        assert server.connection_count() == 0
-        conn.settimeout(5)
-        assert stream.readline() == ""  # mid-request client: clean EOF
-        conn.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+    def test_close_joins_pool_threads_with_compiles_in_flight(self):
+        # Six structurally distinct 8-9 matrix chains (~0.3-1 s each), one
+        # per connection: each compile is offloaded to the worker pool.
+        sources = [
+            f"Matrix M0 <{lead}>; "
+            + " ".join(
+                f"Matrix M{i} <General, Singular>;" for i in range(1, n)
+            )
+            + " R := "
+            + " * ".join(f"M{i}" for i in range(n))
+            + ";"
+            for n in (8, 9)
+            for lead in (
+                "General, Singular",
+                "LowerTri, NonSingular",
+                "Symmetric, SPD",
+            )
+        ]
+        with CompileService(workers=2, warm=False) as service:
+            server = AsyncCompileServer(service).start()
+            conns = []
+            for source in sources:
+                conn = socket.create_connection(server.address)
+                conn.sendall(
+                    json.dumps({"op": "compile", "source": source}).encode()
+                    + b"\n"
+                )
+                conns.append(conn)
+            deadline = time.monotonic() + 30
+            while service.metrics.snapshot()["requests"] < len(sources):
+                assert time.monotonic() < deadline, "compiles never reached the service"
+                time.sleep(0.005)
+            server.close(timeout=60)
+            alive = [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("repro-aserve")
+            ]
+            assert alive == []
+            for conn in conns:
+                conn.settimeout(5)
+                # Reads to EOF (a timeout here would raise): the server
+                # closed the connection rather than leaving it open.
+                conn.makefile("rb").read()
+                conn.close()

@@ -3,13 +3,12 @@
 import io
 import json
 import socket
-import threading
 
 import pytest
 
 import numpy as np
 
-from repro.serve import CompileService, make_tcp_server
+from repro.serve import AsyncCompileServer, CompileService
 from repro.serve.frontend import (
     PROTOCOL_VERSION,
     array_to_npy_bytes,
@@ -373,10 +372,7 @@ class TestArrayCodec:
 
 class TestTcpServer:
     def test_two_clients_share_one_service(self, service):
-        server = make_tcp_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with AsyncCompileServer(service) as server:
             host, port = server.address
 
             def roundtrip(payloads):
@@ -398,27 +394,8 @@ class TestTcpServer:
                  "options": {"num_training_instances": 25}, "id": 2},
                 {"op": "stats", "id": 3},
             ])
-            assert first[0]["ok"] and second[0]["ok"]
-            # Same structure from a different connection: same handle
-            # (content address), served by the shared session cache.
-            assert second[0]["handle"] == first[0]["handle"]
-            assert second[1]["cache"]["hits"] >= 1
-        finally:
-            server.close()
-            thread.join(timeout=10)
-
-    def test_oversize_line_answered_in_band_then_eof(self, service):
-        server = make_tcp_server(service, "127.0.0.1", 0, max_line_bytes=4096)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with socket.create_connection(server.address, timeout=10) as conn:
-                conn.sendall(b"y" * 10_000 + b"\n")
-                stream = conn.makefile("r", encoding="utf-8")
-                response = json.loads(stream.readline())
-                assert response["ok"] is False
-                assert "exceeds 4096 bytes" in response["error"]
-                assert stream.readline() == ""  # stream unrecoverable: EOF
-        finally:
-            server.close()
-            thread.join(timeout=10)
+        assert first[0]["ok"] and second[0]["ok"]
+        # Same structure from a different connection: same handle
+        # (content address), served by the shared session cache.
+        assert second[0]["handle"] == first[0]["handle"]
+        assert second[1]["cache"]["hits"] >= 1
