@@ -3,18 +3,203 @@
 Multi-versioning shifts work to compile time; this benchmark quantifies it:
 building one variant (the four-step procedure of Section IV), enumerating
 all C_{n-1} variants, and emitting the C++ translation unit.
+
+The acceptance test gates the shared-subtree variant pool: building the
+exhaustive pool of an 8-matrix chain and its FLOP cost matrix on 1000
+training instances (the compile pipeline's ``enumerate`` and
+``cost-matrix`` passes at default options) must be >= 3x faster than the
+per-tree path it replaced, with identical pools and bit-identical cost
+matrices.  The per-tree path is no longer part of the package, so
+:func:`legacy_pool_and_costs` below rebuilds it: one ``build_variant``
+per tree (fresh operand states, a quadratic ready-set linearization, a
+span-keyed state map) and the blocked ``np.unique``/``np.add.at`` sweep
+over the flattened terms of the whole pool.
 """
+
+import gc
+import statistics
+import time
 
 import numpy as np
 import pytest
 
 from repro.codegen.cpp_emitter import emit_cpp
 from repro.compiler.parenthesization import enumerate_trees, left_to_right_tree
-from repro.compiler.selection import all_variants, essential_set
-from repro.compiler.variant import build_variant
+from repro.compiler.selection import CostMatrix, all_variants, essential_set
+from repro.compiler.states import associate, initial_states
+from repro.compiler.variant import (
+    Step,
+    Variant,
+    _build_fixups,
+    _make_same_class,
+    build_variant,
+)
 from repro.experiments.sampling import sample_instances, sample_shapes
 
 from conftest import emit
+
+#: The CI acceptance bound on pool + cost-matrix construction at n=8.
+REQUIRED_SPEEDUP = 3.0
+#: Interleaved rounds per path for the acceptance medians.
+REPS = 7
+#: The compile pipeline's default ``num_training_instances``.
+TRAINING_INSTANCES = 1000
+
+
+# -- the per-tree path, as it was -----------------------------------------------
+
+def _legacy_linearize(tree):
+    """Leftmost available association first, by scanning a ready set."""
+    nodes = list(tree.internal_nodes())
+    done: set = set()
+    order = []
+
+    def ready(node):
+        left_ok = node.left.is_leaf or (node.left.lo, node.left.hi) in done
+        right_ok = node.right.is_leaf or (node.right.lo, node.right.hi) in done
+        return left_ok and right_ok
+
+    remaining = set(range(len(nodes)))
+    while remaining:
+        candidates = [i for i in remaining if ready(nodes[i])]
+        chosen = min(candidates, key=lambda i: nodes[i].lo)
+        order.append(nodes[chosen])
+        done.add((nodes[chosen].lo, nodes[chosen].hi))
+        remaining.discard(chosen)
+    return order
+
+
+def _legacy_build_variant(chain, tree, name):
+    same_class = _make_same_class(chain)
+    states = initial_states(chain)
+    span_state = {(i, i): states[i] for i in range(chain.n)}
+    steps = []
+    for index, node in enumerate(_legacy_linearize(tree)):
+        left_state = span_state[(node.left.lo, node.left.hi)]
+        right_state = span_state[(node.right.lo, node.right.hi)]
+        result = associate(left_state, right_state, same_class, index)
+        steps.append(Step.resolved(index, node.triplet, result))
+        span_state[(node.lo, node.hi)] = result.result
+    final_state = span_state[(0, chain.n - 1)]
+    return Variant(
+        chain=chain,
+        tree=tree,
+        steps=tuple(steps),
+        fixups=_build_fixups(final_state, chain),
+        final_state=final_state,
+        name=name,
+    )
+
+
+def _legacy_flat_terms(variant):
+    flat = []
+    for step in variant.steps:
+        m, k, n = step.call_dims
+        for term in step.cost.terms:
+            powers: dict = {}
+            for sym, exp in ((m, term.em), (k, term.ek), (n, term.en)):
+                if exp:
+                    powers[sym] = powers.get(sym, 0) + exp
+            flat.append((float(term.coeff), tuple(sorted(powers.items()))))
+    for fix in variant.fixups:
+        for term in fix.cost.terms:
+            degree = term.em + term.ek + term.en
+            if degree:
+                flat.append((float(term.coeff), ((fix.dim, degree),)))
+    return flat
+
+
+def _legacy_cost_matrix(variants, instances, term_block=4096):
+    coeffs, exponents, owner = [], [], []
+    num_symbols = instances.shape[1]
+    for v, variant in enumerate(variants):
+        for coeff, powers in _legacy_flat_terms(variant):
+            row = np.zeros(num_symbols, dtype=np.int64)
+            for sym, exp in powers:
+                row[sym] = exp
+            coeffs.append(coeff)
+            exponents.append(row)
+            owner.append(v)
+    coeff_arr = np.asarray(coeffs)
+    exp_arr = np.stack(exponents)
+    owner_arr = np.asarray(owner, dtype=np.intp)
+    costs = np.zeros((len(variants), instances.shape[0]))
+    for start in range(0, coeff_arr.shape[0], term_block):
+        stop = min(start + term_block, coeff_arr.shape[0])
+        block = np.broadcast_to(
+            coeff_arr[start:stop, None], (stop - start, instances.shape[0])
+        ).copy()
+        for sym in range(num_symbols):
+            column = instances[:, sym]
+            for exp in np.unique(exp_arr[start:stop, sym]):
+                if exp == 0:
+                    continue
+                mask = exp_arr[start:stop, sym] == exp
+                block[mask] *= column[None, :] ** int(exp)
+        np.add.at(costs, owner_arr[start:stop], block)
+    return costs
+
+
+def legacy_pool_and_costs(chain, instances):
+    """The per-tree pool and its cost matrix, the way they used to be built."""
+    pool = [
+        _legacy_build_variant(chain, tree, name=f"P{i}")
+        for i, tree in enumerate(enumerate_trees(chain.n))
+    ]
+    return pool, _legacy_cost_matrix(pool, instances)
+
+
+def shared_pool_and_costs(chain, instances):
+    """Today's ``enumerate`` + ``cost-matrix`` passes on the exhaustive space."""
+    pool = all_variants(chain)
+    return pool, CostMatrix(pool, instances).costs
+
+
+def _interleaved_medians(fns):
+    """Per-function median call time over per-call interleaved rounds."""
+    samples = {name: [] for name in fns}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(REPS):
+            for name, fn in fns.items():
+                start = time.perf_counter()
+                fn()
+                samples[name].append(time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return {name: statistics.median(times) for name, times in samples.items()}
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_shared_pool_acceptance(n):
+    """CI bound at n=8: shared-subtree pool + cost matrix >= 3x per-tree."""
+    rng = np.random.default_rng(8)
+    chain = sample_shapes(n, 1, rng, rectangular_probability=0.5)[0]
+    instances = np.asarray(
+        sample_instances(chain, TRAINING_INSTANCES, rng), dtype=np.float64
+    )
+    legacy_pool, legacy_costs = legacy_pool_and_costs(chain, instances)
+    pool, costs = shared_pool_and_costs(chain, instances)
+    assert pool == legacy_pool
+    assert np.array_equal(costs, legacy_costs)
+    if n != 8:
+        return  # n=10 checks parity only; timing it would take ~30 s
+    timed = _interleaved_medians(
+        {
+            "per-tree": lambda: legacy_pool_and_costs(chain, instances),
+            "shared": lambda: shared_pool_and_costs(chain, instances),
+        }
+    )
+    speedup = timed["per-tree"] / timed["shared"]
+    emit(
+        f"Variant pool + cost matrix, n={n}, {len(pool)} variants x "
+        f"{TRAINING_INSTANCES} instances (interleaved medians of {REPS})",
+        f"per-tree {timed['per-tree'] * 1e3:8.1f} ms\n"
+        f"shared   {timed['shared'] * 1e3:8.1f} ms\n"
+        f"speedup  {speedup:8.1f}x (required >= {REQUIRED_SPEEDUP}x)",
+    )
+    assert speedup >= REQUIRED_SPEEDUP, timed
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,7 @@ from repro.compiler.parenthesization import (
     fanning_out_tree,
     left_to_right_tree,
 )
-from repro.compiler.variant import Variant, build_variant
+from repro.compiler.variant import Variant, VariantBuilder, build_variant
 
 #: Worst-case bound on the constant of Lemma 2 (``alpha-hat <= 8``), hence
 #: ``T(E_m, q) < 16 T_opt`` and the total penalty of E is at most 15.
@@ -35,10 +35,7 @@ TOTAL_PENALTY_BOUND = 15.0
 
 def all_variants(chain: Chain) -> list[Variant]:
     """One variant per parenthesization: the paper's full set ``A``."""
-    return [
-        build_variant(chain, tree, name=f"P{i}")
-        for i, tree in enumerate(enumerate_trees(chain.n))
-    ]
+    return VariantBuilder(chain).build_pool(enumerate_trees(chain.n))
 
 
 def left_to_right_variant(chain: Chain) -> Variant:
@@ -70,8 +67,9 @@ def distinct_fanning_trees(chain: Chain) -> dict[int, "ParenTree"]:
 def fanning_out_variants(chain: Chain) -> dict[int, Variant]:
     """The distinct fanning-out variants ``E_h`` keyed by ``h``
     (see :func:`distinct_fanning_trees` for the dedupe rule)."""
+    builder = VariantBuilder(chain)
     return {
-        h: build_variant(chain, tree, name=f"E{h}")
+        h: builder.build(tree, name=f"E{h}")
         for h, tree in distinct_fanning_trees(chain).items()
     }
 
@@ -101,10 +99,8 @@ def penalty(
     return best_selected / optimal_cost(chain, sizes) - 1.0
 
 
-#: Largest ``terms x instances`` working set the evaluation sweep handles
-#: with direct element-wise powers; beyond it, the unique-exponent masked
-#: block sweep wins (np.unique overhead amortizes, powers collapse into
-#: repeated multiplies).
+#: Largest ``terms x instances`` block :func:`evaluate_cost_terms` holds at
+#: once; bigger instance batches are swept in column chunks.
 DIRECT_EVAL_LIMIT = 65536
 
 #: Flattened cost terms of a variant pool: ``(coefficients (T,),
@@ -122,10 +118,9 @@ def flatten_cost_terms(
 
     Every variant's cost is a sum of monomial terms
     ``coeff * prod_s q_s^e_s``; stacking the terms of *all* variants into
-    one ``(terms, n+1)`` exponent matrix lets whole cost matrices be
-    evaluated with a handful of numpy broadcasts (one per distinct
-    ``(symbol, exponent)`` pair — kernel costs are cubic, so at most
-    ``3 (n+1)``) instead of a Python loop per variant.
+    one ``(terms, n+1)`` exponent matrix lets a small selected set be
+    evaluated with one numpy broadcast per size symbol instead of a Python
+    loop per variant.
     """
     coeffs: list[float] = []
     exponents: list[np.ndarray] = []
@@ -148,69 +143,56 @@ def flatten_cost_terms(
 
 
 def evaluate_cost_terms(
-    stack: TermStack,
-    num_variants: int,
-    instances: np.ndarray,
-    term_block: int = 4096,
+    stack: TermStack, num_variants: int, instances: np.ndarray
 ) -> np.ndarray:
     """Evaluate a term stack on instances: ``(num_variants, count)`` costs.
 
-    ``term_block`` bounds the ``(terms, instances)`` working set for long
-    chains, whose Catalan-many variants contribute tens of thousands of
-    terms.
+    Direct element-wise powers over ``(terms, instances)`` blocks of at
+    most :data:`DIRECT_EVAL_LIMIT` elements, which is the fast way for the
+    dispatcher's small selected sets; whole pools go through
+    :func:`flop_cost_matrix` instead.
     """
     coeff_arr, exp_arr, owner_arr = stack
     instances = np.asarray(instances, dtype=np.float64)
     num_instances = instances.shape[0]
-    num_symbols = instances.shape[1] if instances.ndim == 2 else 0
     costs = np.zeros((num_variants, num_instances))
     if num_instances == 0 or coeff_arr.size == 0:
         # Degenerate inputs short-circuit to a well-shaped empty/zero
         # matrix: the sweep below assumes at least one column to broadcast
         # against and at least one owner row.
         return costs
-
-    if coeff_arr.shape[0] * num_instances <= DIRECT_EVAL_LIMIT:
-        # Small working sets (per-call dispatch over a selected set, small
-        # batches): direct element-wise powers beat the unique-exponent
-        # masking below, whose np.unique calls dominate at this scale.
+    chunk = max(1, DIRECT_EVAL_LIMIT // coeff_arr.shape[0])
+    for start in range(0, num_instances, chunk):
+        columns = instances[start : start + chunk]
         block = np.broadcast_to(
-            coeff_arr[:, None], (coeff_arr.shape[0], num_instances)
+            coeff_arr[:, None], (coeff_arr.shape[0], columns.shape[0])
         ).copy()
-        for sym in range(num_symbols):
+        for sym in range(columns.shape[1]):
             exps = exp_arr[:, sym]
             if not exps.any():
                 continue
-            block *= instances[:, sym][None, :] ** exps[:, None]
-        np.add.at(costs, owner_arr, block)
-        return costs
-
-    for start in range(0, coeff_arr.shape[0], term_block):
-        stop = min(start + term_block, coeff_arr.shape[0])
-        block = np.broadcast_to(
-            coeff_arr[start:stop, None], (stop - start, num_instances)
-        ).copy()
-        for sym in range(num_symbols):
-            column = instances[:, sym]
-            for exp in np.unique(exp_arr[start:stop, sym]):
-                if exp == 0:
-                    continue
-                mask = exp_arr[start:stop, sym] == exp
-                block[mask] *= column[None, :] ** int(exp)
-        np.add.at(costs, owner_arr[start:stop], block)
+            block *= columns[:, sym][None, :] ** exps[:, None]
+        np.add.at(costs[:, start : start + chunk], owner_arr, block)
     return costs
 
 
 def flop_cost_matrix(
-    variants: Sequence[Variant],
-    instances: np.ndarray,
-    term_block: int = 4096,
+    variants: Sequence[Variant], instances: np.ndarray
 ) -> np.ndarray:
-    """Batched FLOP costs: ``(num_variants, num_instances)`` in one sweep.
+    """Batched FLOP costs: ``(num_variants, num_instances)``.
 
-    One-shot composition of :func:`flatten_cost_terms` and
-    :func:`evaluate_cost_terms`; callers that evaluate the same pool
-    repeatedly (the dispatcher) flatten once and keep the stack.
+    Row ``i`` is bit-for-bit ``variants[i].flop_cost_many(instances)``: the
+    sequential sum, in step-term order, of ``coeff * prod q_s^e_s`` per
+    term.  Two things make a whole pool cheap without changing that sum:
+
+    * each distinct ``(coeff, powers)`` term's value row is computed once;
+    * variants built by one :class:`~repro.compiler.variant.VariantBuilder`
+      share the :class:`~repro.compiler.variant.Step` objects of common
+      subtrees, so their step sequences form a trie keyed by step
+      identity.  Each distinct prefix's running row is computed once from
+      its parent's, one numpy pass per trie level, holding two levels at a
+      time.  (Padding ragged term lists with the all-zero term adds
+      ``+0.0``, which leaves every running sum unchanged.)
     """
     instances = np.asarray(instances, dtype=np.float64)
     if instances.ndim != 2:
@@ -218,10 +200,63 @@ def flop_cost_matrix(
             f"instances must be a 2-D (count, n+1) array, got shape "
             f"{instances.shape}"
         )
-    if instances.shape[0] == 0 or not len(variants):
-        return np.zeros((len(variants), instances.shape[0]))
-    stack = flatten_cost_terms(variants, instances.shape[1])
-    return evaluate_cost_terms(stack, len(variants), instances, term_block)
+    num_instances = instances.shape[0]
+    costs = np.zeros((len(variants), num_instances))
+    if num_instances == 0 or not len(variants):
+        return costs
+
+    term_rows: dict = {}  # (coeff, powers) -> row of ``values``; 0 is zero
+
+    def term_ids(terms) -> list[int]:
+        return [term_rows.setdefault(t, len(term_rows) + 1) for t in terms]
+
+    # The trie, one level per step depth: {(parent position, id(step)):
+    # position}, plus each node's parent position and term ids.
+    levels: list[tuple[dict, list[int], list[list[int]]]] = []
+    # Per sequence length: (variant index, trie position, fix-up term ids).
+    ends: dict[int, list[tuple[int, int, list[int]]]] = {}
+    for v, variant in enumerate(variants):
+        pos = 0
+        for depth, step in enumerate(variant.steps):
+            if depth == len(levels):
+                levels.append(({}, [], []))
+            nodes, parents, terms = levels[depth]
+            key = (pos, id(step))
+            child = nodes.get(key)
+            if child is None:
+                child = nodes[key] = len(parents)
+                parents.append(pos)
+                terms.append(term_ids(step._flat_terms))
+            pos = child
+        fixup_terms = [t for fix in variant.fixups for t in fix._flat_terms]
+        ends.setdefault(len(variant.steps), []).append(
+            (v, pos, term_ids(fixup_terms))
+        )
+
+    values = np.zeros((len(term_rows) + 1, num_instances))
+    for (coeff, powers), row in term_rows.items():
+        value = values[row]
+        value[:] = coeff
+        for sym, exp in powers:
+            value *= instances[:, sym] ** exp
+
+    def accumulate(rows: np.ndarray, id_lists: list[list[int]]) -> None:
+        """Add each row's terms in order; shorter lists add the zero row."""
+        for j in range(max(map(len, id_lists), default=0)):
+            rows += values[[ids[j] if j < len(ids) else 0 for ids in id_lists]]
+
+    running = np.zeros((1, num_instances))
+    for depth in range(len(levels) + 1):
+        if depth:
+            _, parents, terms = levels[depth - 1]
+            running = running[parents]
+            accumulate(running, terms)
+        if depth in ends:
+            owners, positions, fixups = zip(*ends[depth])
+            rows = running[list(positions)]
+            accumulate(rows, list(fixups))
+            costs[list(owners)] = rows
+    return costs
 
 
 class CostMatrix:
@@ -306,8 +341,9 @@ def essential_set(
         cost_matrix = CostMatrix(all_variants(chain), training_instances)
     sig_to_idx = {v.signature(): i for i, v in enumerate(cost_matrix.variants)}
 
+    builder = VariantBuilder(chain)
     candidates_by_h = {
-        h: build_variant(chain, fanning_out_tree(chain.n, h), name=f"E{h}")
+        h: builder.build(fanning_out_tree(chain.n, h), name=f"E{h}")
         for h in range(chain.n + 1)
     }
     missing = sorted(

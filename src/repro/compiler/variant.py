@@ -12,17 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CompilationError
 from repro.ir.chain import Chain
-from repro.ir.features import Structure
 from repro.kernels.cost import CostFunction
 from repro.kernels.spec import COPY, TRANSPOSE, KernelSpec
 from repro.kernels.tables import lookup_inversion_kernel
-from repro.compiler.parenthesization import ParenTree, linearize
+from repro.compiler.parenthesization import ParenTree
 from repro.compiler.states import (
     AssociationResult,
     OperandState,
@@ -53,6 +52,39 @@ class Step:
     cost: CostFunction
     result_state: OperandState
 
+    @classmethod
+    def resolved(
+        cls, index: int, triplet: tuple[int, int, int], result: AssociationResult
+    ) -> "Step":
+        """The ``index``-th call, issuing an association as resolved."""
+        return cls(
+            index=index,
+            kernel=result.kernel,
+            side=result.side,
+            cheap=result.cheap,
+            left_ref=result.left.source,
+            right_ref=result.right.source,
+            left_state=result.left,
+            right_state=result.right,
+            triplet=triplet,
+            call_dims=result.call_dims,
+            cost=result.cost,
+            result_state=result.result,
+        )
+
+    @cached_property
+    def _flat_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
+        """This call's cost as (coefficient, ((symbol index, exponent), ...))."""
+        m, k, n = self.call_dims
+        flat = []
+        for term in self.cost.terms:
+            powers: dict[int, int] = {}
+            for sym, exp in ((m, term.em), (k, term.ek), (n, term.en)):
+                if exp:
+                    powers[sym] = powers.get(sym, 0) + exp
+            flat.append((float(term.coeff), tuple(sorted(powers.items()))))
+        return tuple(flat)
+
     def describe(self) -> str:
         a, b, c = self.triplet
         return (
@@ -71,6 +103,15 @@ class FixupStep:
     dim: int
     cost: CostFunction
 
+    @cached_property
+    def _flat_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
+        """Non-constant cost terms, charged on the square dimension."""
+        return tuple(
+            (float(term.coeff), ((self.dim, degree),))
+            for term in self.cost.terms
+            if (degree := term.em + term.ek + term.en)
+        )
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -87,22 +128,11 @@ class Variant:
 
     @cached_property
     def _flat_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
-        """Cost flattened to (coefficient, ((symbol index, exponent), ...))."""
-        flat: list[tuple[float, tuple[tuple[int, int], ...]]] = []
-        for step in self.steps:
-            m, k, n = step.call_dims
-            for term in step.cost.terms:
-                powers: dict[int, int] = {}
-                for sym, exp in ((m, term.em), (k, term.ek), (n, term.en)):
-                    if exp:
-                        powers[sym] = powers.get(sym, 0) + exp
-                flat.append((float(term.coeff), tuple(sorted(powers.items()))))
-        for fix in self.fixups:
-            for term in fix.cost.terms:
-                degree = term.em + term.ek + term.en
-                if degree:
-                    flat.append((float(term.coeff), ((fix.dim, degree),)))
-        return tuple(flat)
+        """Cost flattened to (coefficient, ((symbol index, exponent), ...)),
+        in step-term order, then the fix-ups' terms."""
+        return tuple(
+            term for part in self.steps + self.fixups for term in part._flat_terms
+        )
 
     def flop_cost(self, sizes: Sequence[int]) -> float:
         """Numeric FLOP cost ``T(A, q)`` on a concrete instance ``q``."""
@@ -156,6 +186,10 @@ class Variant:
 
     def signature(self) -> tuple:
         """Hashable identity: the (kernel, triplet) sequence plus fix-ups."""
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> tuple:
         return (
             tuple((s.kernel.name, s.side, s.triplet) for s in self.steps),
             tuple((f.kernel.name, f.dim) for f in self.fixups),
@@ -205,63 +239,84 @@ def _build_fixups(state: OperandState, chain: Chain) -> tuple[FixupStep, ...]:
     return tuple(fixups)
 
 
+class VariantBuilder:
+    """Builds the variants of many parenthesizations of one chain (Section IV).
+
+    The parenthesization's partial order is extended to a total order by
+    issuing the leftmost available association first, which is post-order
+    (:func:`~repro.compiler.parenthesization.linearize`): a tree's steps are
+    its left subtree's steps from offset ``o``, then its right subtree's
+    from ``o + |left|``, then the root's association, resolved through the
+    four-step procedure of :func:`repro.compiler.states.associate`.  A
+    subtree issued from the same offset always yields the same steps, so
+    they are built once per (subtree shape, offset) and shared — between
+    trees, and between pools built by the same builder.  Pools of shared
+    :class:`Step` objects also share cost-row prefixes in
+    :func:`~repro.compiler.selection.flop_cost_matrix`.
+    """
+
+    def __init__(self, chain: Chain):
+        self.chain = chain
+        self._states = initial_states(chain)
+        self._same_class = _make_same_class(chain)
+        #: (left shape id, right shape id) -> shape id; leaf ``i`` is ``i``.
+        self._shapes: dict[tuple[int, int], int] = {}
+        #: (shape id, offset) -> (shape id, steps, result state).
+        self._built: dict[tuple[int, int], tuple] = {}
+
+    def build(self, tree: ParenTree, name: str = "") -> Variant:
+        """The unique variant of one parenthesization of the chain."""
+        chain = self.chain
+        if tree.lo != 0 or tree.hi != chain.n - 1:
+            raise CompilationError(
+                f"tree spans matrices {tree.lo}..{tree.hi} but the chain has "
+                f"{chain.n} matrices"
+            )
+        if chain.n == 1:
+            return _single_matrix_variant(chain, self._states[0], name)
+        _, steps, final_state = self._subtree(tree, 0)
+        return Variant(
+            chain=chain,
+            tree=tree,
+            steps=steps,
+            fixups=_build_fixups(final_state, chain),
+            final_state=final_state,
+            name=name,
+        )
+
+    def build_pool(self, trees: Iterable[ParenTree]) -> list[Variant]:
+        """Variants for a deduplicated tree list, named by pool position."""
+        return [self.build(tree, name=f"P{i}") for i, tree in enumerate(trees)]
+
+    def _subtree(self, tree: ParenTree, offset: int) -> tuple:
+        """(shape id, steps, result state) of ``tree`` issued from ``offset``."""
+        if tree.is_leaf:
+            return tree.lo, (), self._states[tree.lo]
+        assert tree.left is not None and tree.right is not None
+        left_id, left_steps, left_state = self._subtree(tree.left, offset)
+        right_id, right_steps, right_state = self._subtree(
+            tree.right, offset + len(left_steps)
+        )
+        shape = self._shapes.setdefault(
+            (left_id, right_id), self.chain.n + len(self._shapes)
+        )
+        built = self._built.get((shape, offset))
+        if built is None:
+            index = offset + len(left_steps) + len(right_steps)
+            result = associate(left_state, right_state, self._same_class, index)
+            step = Step.resolved(index, tree.triplet, result)
+            built = (shape, left_steps + right_steps + (step,), result.result)
+            self._built[(shape, offset)] = built
+        return built
+
+
 def build_variant(chain: Chain, tree: ParenTree, name: str = "") -> Variant:
     """Construct the unique variant for a parenthesization (Section IV).
 
-    The parenthesization's partial order is extended to a total order by
-    issuing the leftmost available association first; each association is
-    then resolved through the four-step procedure of
-    :func:`repro.compiler.states.associate`.
+    A one-tree pool of :class:`VariantBuilder`; build many trees of one
+    chain through a shared builder instead.
     """
-    if tree.lo != 0 or tree.hi != chain.n - 1:
-        raise CompilationError(
-            f"tree spans matrices {tree.lo}..{tree.hi} but the chain has "
-            f"{chain.n} matrices"
-        )
-    same_class = _make_same_class(chain)
-    states = initial_states(chain)
-
-    if chain.n == 1:
-        return _single_matrix_variant(chain, states[0], name)
-
-    # Map from a node span to the state holding its computed value.
-    span_state: dict[tuple[int, int], OperandState] = {
-        (i, i): states[i] for i in range(chain.n)
-    }
-    steps: list[Step] = []
-    for index, node in enumerate(linearize(tree)):
-        assert node.left is not None and node.right is not None
-        left_state = span_state[(node.left.lo, node.left.hi)]
-        right_state = span_state[(node.right.lo, node.right.hi)]
-        result = associate(left_state, right_state, same_class, index)
-        steps.append(
-            Step(
-                index=index,
-                kernel=result.kernel,
-                side=result.side,
-                cheap=result.cheap,
-                left_ref=result.left.source,
-                right_ref=result.right.source,
-                left_state=result.left,
-                right_state=result.right,
-                triplet=node.triplet,
-                call_dims=result.call_dims,
-                cost=result.cost,
-                result_state=result.result,
-            )
-        )
-        span_state[(node.lo, node.hi)] = result.result
-
-    final_state = span_state[(0, chain.n - 1)]
-    fixups = _build_fixups(final_state, chain)
-    return Variant(
-        chain=chain,
-        tree=tree,
-        steps=tuple(steps),
-        fixups=fixups,
-        final_state=final_state,
-        name=name,
-    )
+    return VariantBuilder(chain).build(tree, name)
 
 
 def _single_matrix_variant(chain: Chain, state: OperandState, name: str) -> Variant:

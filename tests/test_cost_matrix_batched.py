@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.selection import CostMatrix, all_variants, flop_cost_matrix
+from repro.compiler.variant import build_variant
 from repro.experiments.sampling import sample_instances, sample_shapes
 
 from conftest import general_chain, make_general, make_lower, random_option_chain
@@ -34,13 +35,20 @@ class TestBatchedCostMatrix:
                 reference_costs(variants, np.asarray(instances, float)),
             )
 
-    def test_small_term_blocks_chunk_correctly(self, rng):
+    def test_shared_steps_match_per_tree_pool(self, rng):
+        # A pool built tree by tree shares no Step objects, so every cost
+        # row takes its own trie path; the rows must still be bit-equal to
+        # the shared-subtree pool's and to per-variant evaluation.
         chain = make_general("A") * make_lower("L").inv * make_general("B")
         variants = all_variants(chain)
+        per_tree = [build_variant(chain, v.tree, name=v.name) for v in variants]
+        assert per_tree == variants
         instances = sample_instances(chain, 16, rng)
-        full = flop_cost_matrix(variants, instances)
-        chunked = flop_cost_matrix(variants, instances, term_block=2)
-        np.testing.assert_allclose(full, chunked)
+        shared = flop_cost_matrix(variants, instances)
+        assert np.array_equal(shared, flop_cost_matrix(per_tree, instances))
+        assert np.array_equal(
+            shared, reference_costs(variants, np.asarray(instances, float))
+        )
 
     def test_cost_matrix_default_uses_batched_path(self, rng):
         chain = general_chain(4)
@@ -123,7 +131,7 @@ class TestDegenerateInputs:
 class TestTermStack:
     """The flatten-once/evaluate-many split behind the dispatcher hot path."""
 
-    def test_small_and_blocked_paths_agree(self, rng, monkeypatch):
+    def test_direct_path_matches_pool_matrix(self, rng, monkeypatch):
         from repro.compiler import selection
         from repro.compiler.selection import (
             evaluate_cost_terms,
@@ -134,17 +142,16 @@ class TestTermStack:
         variants = all_variants(chain)
         instances = sample_instances(chain, 30, rng)
         stack = flatten_cost_terms(variants, chain.n + 1)
-        small = evaluate_cost_terms(stack, len(variants), instances)
-        # Force the masked block sweep onto the same data (threshold 0
-        # disables the direct-pow path; a tiny term_block chunks it).
-        monkeypatch.setattr(selection, "DIRECT_EVAL_LIMIT", 0)
-        blocked = evaluate_cost_terms(
-            stack, len(variants), instances, term_block=3
-        )
-        np.testing.assert_allclose(small, blocked)
+        direct = evaluate_cost_terms(stack, len(variants), instances)
+        np.testing.assert_allclose(direct, flop_cost_matrix(variants, instances))
+        # A working-set bound below one column's terms sweeps the batch one
+        # instance at a time; columns are independent, so nothing changes.
+        monkeypatch.setattr(selection, "DIRECT_EVAL_LIMIT", 1)
+        chunked = evaluate_cost_terms(stack, len(variants), instances)
+        assert np.array_equal(direct, chunked)
         for i, variant in enumerate(variants):
             np.testing.assert_allclose(
-                small[i], variant.flop_cost_many(instances)
+                direct[i], variant.flop_cost_many(instances)
             )
 
     def test_empty_stack_evaluates_to_zeros(self):

@@ -120,6 +120,34 @@ class TestLinearization:
                     assert b not in later
 
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_post_order_equals_leftmost_available_first(self, n):
+        # linearize is plain post-order; this is the ready-set scan it
+        # replaced, which spells the Section IV rule out literally.
+        for tree in enumerate_trees(n):
+            assert linearize(tree) == _leftmost_available_first(tree)
+
+
+def _leftmost_available_first(tree):
+    nodes = list(tree.internal_nodes())
+    done: set = set()
+    order = []
+
+    def ready(node):
+        left_ok = node.left.is_leaf or (node.left.lo, node.left.hi) in done
+        right_ok = node.right.is_leaf or (node.right.lo, node.right.hi) in done
+        return left_ok and right_ok
+
+    remaining = set(range(len(nodes)))
+    while remaining:
+        candidates = [i for i in remaining if ready(nodes[i])]
+        chosen = min(candidates, key=lambda i: nodes[i].lo)
+        order.append(nodes[chosen])
+        done.add((nodes[chosen].lo, nodes[chosen].hi))
+        remaining.discard(chosen)
+    return order
+
+
 class TestLazyEnumeration:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_eager_enumeration(self, n):
