@@ -10,7 +10,11 @@ The **pre-obs baseline**, reconstructed faithfully here from the PR-5
 ``run`` body, is the same memoized dispatch + plan replay with no flag
 check and no histogram feed.  The acceptance test bounds the overhead
 ratios: disabled tracing within ``DISABLED_BUDGET`` of the baseline, a
-fully enabled run within ``ENABLED_BUDGET``.
+fully enabled run within ``ENABLED_BUDGET``.  It does so for two call
+shapes: the default ``run(arrays)``, and the serving shape
+``run(arrays, reuse_buffers=True)``, whose baseline replays on one
+pre-built :class:`~repro.runtime.plan.PlanArena` (tracing replays on the
+pooled arenas too, so it times the loop that serving runs).
 
 Measurement notes, learned the hard way: the three modes are interleaved
 *per call* (frequency/thermal drift hits all three equally), compared on
@@ -69,15 +73,16 @@ def _setup(n: int, rng, low=64, high=160):
     return dispatcher, arrays
 
 
-def _baseline_call(dispatcher, arrays):
+def _baseline_call(dispatcher, arrays, arena=None):
     """One warm request exactly as the pre-obs ``run`` paid it (the PR-5
     body, verbatim): memoized dispatch through ``plan_for``, plan replay,
-    outcome counters — no flag read, no histogram feed."""
+    outcome counters — no flag read, no histogram feed.  ``arena`` is the
+    serving shape's pre-built intermediate-buffer arena."""
     values = [np.asarray(a, dtype=np.float64) for a in arrays]
     sizes = dispatcher._infer.infer(values)
     variant, cost, plan = dispatcher.plan_for(sizes, validate=False)
     start = time.perf_counter()
-    result = plan.replay(values)
+    result = plan.replay(values, arena)
     elapsed = time.perf_counter() - start
     with dispatcher._memo_lock:
         dispatcher.backend_executions[plan.backend] = (
@@ -86,6 +91,29 @@ def _baseline_call(dispatcher, arrays):
         dispatcher.last_execute_seconds = elapsed
         dispatcher.last_execute_at = time.monotonic()
     return DispatchOutcome(sizes, variant, cost, result)
+
+
+def _prebuilt_arena(dispatcher, arrays):
+    """The warm plan's arena, built outside the baseline's timed calls."""
+    values = [np.asarray(a, dtype=np.float64) for a in arrays]
+    _, _, plan = dispatcher.plan_for(dispatcher._infer.infer(values))
+    plan.record_buffer_shapes(values, plan.replay(values))
+    arena = plan.new_arena()
+    assert arena is not None, "the workload must have arena-backed steps"
+    return arena
+
+
+def _traced(fn):
+    """``fn`` wrapped to run with tracing enabled."""
+
+    def call():
+        obs_trace.enable()
+        try:
+            return fn()
+        finally:
+            obs_trace.disable()
+
+    return call
 
 
 def _interleaved_medians(fns: dict[str, object]) -> dict[str, float]:
@@ -107,39 +135,42 @@ def _interleaved_medians(fns: dict[str, object]) -> dict[str, float]:
 
 
 def test_obs_overhead_acceptance(benchmark):
-    """CI bound: disabled tracing <= 3% over the pre-obs path, enabled <= 15%."""
+    """CI bound: disabled tracing <= 3% over the pre-obs path, enabled <= 15%,
+    for both the default and the ``reuse_buffers`` call shape."""
     assert not obs_trace.enabled()
     rng = np.random.default_rng(2026)
     rows = []
     worst_disabled = worst_enabled = 0.0
     for n in (10, 12):
         dispatcher, arrays = _setup(n, rng)
-
-        def baseline():
-            return _baseline_call(dispatcher, arrays)
-
-        def disabled():
-            return dispatcher.run(arrays)
-
-        def enabled():
-            obs_trace.enable()
-            try:
-                return dispatcher.run(arrays)
-            finally:
-                obs_trace.disable()
-
-        timed = _interleaved_medians(
-            {"baseline": baseline, "disabled": disabled, "enabled": enabled}
-        )
+        arena = _prebuilt_arena(dispatcher, arrays)
+        shapes = {
+            "run": (
+                lambda: _baseline_call(dispatcher, arrays),
+                lambda: dispatcher.run(arrays),
+            ),
+            "reuse": (
+                lambda: _baseline_call(dispatcher, arrays, arena),
+                lambda: dispatcher.run(arrays, reuse_buffers=True),
+            ),
+        }
+        fns = {}
+        for shape, (baseline, run) in shapes.items():
+            fns[f"{shape}/baseline"] = baseline
+            fns[f"{shape}/disabled"] = run
+            fns[f"{shape}/enabled"] = _traced(run)
+        timed = _interleaved_medians(fns)
         obs_trace.drain()  # drop the spans the enabled calls buffered
-        ratio_disabled = timed["disabled"] / timed["baseline"]
-        ratio_enabled = timed["enabled"] / timed["baseline"]
-        worst_disabled = max(worst_disabled, ratio_disabled)
-        worst_enabled = max(worst_enabled, ratio_enabled)
-        rows.append(
-            f"n={n}: baseline {timed['baseline'] * 1e6:7.1f} us/call, "
-            f"disabled {ratio_disabled:.3f}x, enabled {ratio_enabled:.3f}x"
-        )
+        for shape in shapes:
+            base = timed[f"{shape}/baseline"]
+            ratio_disabled = timed[f"{shape}/disabled"] / base
+            ratio_enabled = timed[f"{shape}/enabled"] / base
+            worst_disabled = max(worst_disabled, ratio_disabled)
+            worst_enabled = max(worst_enabled, ratio_enabled)
+            rows.append(
+                f"n={n} {shape:5s}: baseline {base * 1e6:7.1f} us/call, "
+                f"disabled {ratio_disabled:.3f}x, enabled {ratio_enabled:.3f}x"
+            )
     emit("Observability overhead: warm dispatch+execute", "\n".join(rows))
     benchmark.extra_info["worst_disabled_ratio"] = round(worst_disabled, 4)
     benchmark.extra_info["worst_enabled_ratio"] = round(worst_enabled, 4)

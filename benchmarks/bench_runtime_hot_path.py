@@ -7,10 +7,12 @@ a size-keyed dispatch memo, with sizes inferred (and shapes validated)
 exactly once per call.
 
 The **pre-refactor path**, reconstructed faithfully here, paid per call:
-a full cost-matrix sweep with per-row instance validation, a second
-``infer_sizes`` inside ``execute_variant(check_shapes=True)``, per-step
-kernel dict lookups and ``KernelCallConfig`` construction, and
-``("step", i)`` dict buffer addressing.
+a full cost-matrix sweep with per-row instance validation, then the
+interpretive executor (rebuilt in this file as ``_interpretive_execute``,
+since the library's ``execute_variant`` now replays a compiled plan): a
+second ``infer_sizes`` plus a stored-shape check, per-step kernel dict
+lookups and ``KernelCallConfig`` construction, and ``("step", i)`` dict
+buffer addressing.
 
 The acceptance test asserts the memoized runtime answers repeated
 same-size dispatch+execute requests >= 5x faster (bit-identical results);
@@ -23,17 +25,21 @@ import numpy as np
 import pytest
 
 from repro.compiler.selection import essential_set
+from repro.errors import ExecutionError
 from repro.experiments.sampling import sample_instances, sample_shapes
 from repro.ir.chain import Chain
 from repro.ir.features import Property, Structure
 from repro.ir.matrix import Matrix
 from repro.ir.operand import Operand
+from repro.kernels import reference
 from repro.runtime import (
     Dispatcher,
-    execute_variant,
+    KernelCallConfig,
+    expected_stored_shapes,
     infer_sizes,
     random_instance_arrays,
 )
+from repro.runtime.executor import _stored_diag, _stored_lower, resolve_fixup
 
 from conftest import emit
 
@@ -58,17 +64,55 @@ def _setup(chain, rng, low=4, high=16):
     return variants, sizes, arrays
 
 
+def _interpretive_execute(variant, arrays):
+    """The pre-plan interpretive executor, verbatim: re-infer and re-check
+    the stored shapes, then per step one ``KERNEL_IMPLS`` lookup, one
+    ``KernelCallConfig`` and ``("step", i)`` dict buffer addressing."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    sizes = infer_sizes(variant.chain, arrays)
+    expected = expected_stored_shapes(variant.chain, sizes)
+    for i, (array, shape) in enumerate(zip(arrays, expected)):
+        if array.shape != shape:
+            raise ExecutionError(
+                f"operand {i}: expected stored shape {shape}, got {array.shape}"
+            )
+    values = {("matrix", i): array for i, array in enumerate(arrays)}
+    result = None
+    for step in variant.steps:
+        impl = reference.KERNEL_IMPLS.get(step.kernel.name)
+        if impl is None:
+            raise ExecutionError(f"no implementation for kernel {step.kernel.name}")
+        cfg = KernelCallConfig(
+            side=step.side,
+            left_trans=step.left_state.transposed,
+            right_trans=step.right_state.transposed,
+            left_lower=_stored_lower(step.left_state),
+            right_lower=_stored_lower(step.right_state),
+            left_diag=_stored_diag(step.left_state),
+            right_diag=_stored_diag(step.right_state),
+        )
+        result = impl(values[step.left_ref], values[step.right_ref], cfg)
+        values[("step", step.index)] = result
+    if result is None:  # single-matrix chain: fix-ups do all the work
+        result = arrays[0]
+        if not variant.fixups:
+            return result.copy()
+    for fix in variant.fixups:
+        result = resolve_fixup(fix.kernel.name, variant.final_state)(result)
+    return result
+
+
 def _pre_refactor_call(chain, dispatcher, arrays):
     """One request exactly as the pre-runtime Dispatcher.__call__ paid it.
 
     ``dispatcher`` must have ``memo_capacity=0`` so ``select`` performs the
-    historical full sweep (with per-row validation); ``execute_variant``
-    with ``check_shapes=True`` then re-infers and re-validates, which is
-    the double size inference PR 5 removed.
+    historical full sweep (with per-row validation); the interpretive
+    executor then re-infers and re-validates, which is the double size
+    inference the memoized runtime removed.
     """
     sizes = infer_sizes(chain, [np.asarray(a) for a in arrays])
     variant, _ = dispatcher.select(sizes)
-    return execute_variant(variant, list(arrays), check_shapes=True)
+    return _interpretive_execute(variant, list(arrays))
 
 
 def _measure(fn, reps: int) -> float:

@@ -5,12 +5,14 @@ The paper's product has two halves: compile-time variant generation
 observed instance, picks and runs the cheapest variant.  This package is
 that second half, structured for the per-request hot path:
 
-* :mod:`repro.runtime.executor` — the kernel-call interpreter
-  (:func:`execute_variant`), size inference, and the concrete-operand
-  helpers;
+* :mod:`repro.runtime.executor` — kernel call configurations, size
+  inference, and the concrete-operand helpers (random operands, the
+  :func:`naive_evaluate` oracle);
 * :mod:`repro.runtime.plan` — :class:`ExecutionPlan`, one ``(variant,
   sizes)`` pair compiled into a replayable loop of pre-resolved kernel
-  calls over flat buffer slots (no dict lookups, no re-validation);
+  calls over flat buffer slots (no dict lookups, no re-validation); its
+  ``replay`` is the runtime's one kernel-step loop, and
+  :func:`execute_variant` is a one-shot plan compile and replay;
 * :mod:`repro.runtime.dispatcher` — :class:`Dispatcher`, the generated
   dispatch function with a bounded size-keyed memo: repeated instances
   bypass the cost sweep and replay their compiled plan, making the
@@ -20,9 +22,6 @@ that second half, structured for the per-request hot path:
   (``reference``, ``blas``, and the code-generating ``c`` emitter) that
   lower each frozen kernel call to a direct callable at plan-compile
   time, plus the dispatcher's measured ``auto`` strategy.
-
-``repro.compiler.dispatch`` and ``repro.compiler.executor`` remain as
-import shims for pre-existing call sites.
 """
 
 from repro.runtime.backends import (
@@ -48,14 +47,18 @@ from repro.runtime.codegen_cache import (
 from repro.runtime.executor import (
     KernelCallConfig,
     SizeInferencer,
-    execute_variant,
     expected_stored_shapes,
     infer_sizes,
     naive_evaluate,
     random_instance_arrays,
     random_matrix,
 )
-from repro.runtime.plan import ExecutionPlan, PlanArena, compile_plan
+from repro.runtime.plan import (
+    ExecutionPlan,
+    PlanArena,
+    compile_plan,
+    execute_variant,
+)
 from repro.runtime.dispatcher import (
     DEFAULT_MEMO_CAPACITY,
     CostEstimator,

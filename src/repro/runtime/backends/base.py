@@ -86,12 +86,14 @@ class Backend(ABC):
         """Optionally lower a *whole* plan to one fused callable.
 
         Called once at plan-compile time, after the per-step lowering.
-        Returning a callable replaces the plan's step loop on the
-        untraced :meth:`~repro.runtime.plan.ExecutionPlan.replay` path
-        (fix-ups still run in Python afterwards); returning ``None`` —
-        the default — keeps the per-step loop, and the plan reports
-        :attr:`fallback_name` as its backend when set.  Implementations
-        must degrade by returning ``None``, never by raising.
+        Returning a callable replaces the plan's step loop in every
+        :meth:`~repro.runtime.plan.ExecutionPlan.replay` without per-step
+        timing (``record=None``; fix-ups still run in Python afterwards);
+        a timed ``replay(record=...)`` runs the per-step lowering.
+        Returning ``None`` — the default — keeps the per-step loop, and
+        the plan reports :attr:`fallback_name` as its backend when set.
+        Implementations must degrade by returning ``None``, never by
+        raising.
         """
         return None
 

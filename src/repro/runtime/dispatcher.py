@@ -758,10 +758,11 @@ class Dispatcher:
 
         Sizes are inferred (and thereby validated) exactly once; the
         memoized plan replays without re-inferring or re-checking shapes.
-        With tracing enabled, the replay additionally times every kernel
-        call into per-``(kernel, routine)`` histograms and emits a
-        ``runtime.run`` span; disabled, the only extra work over the plain
-        replay is one histogram observe of the already-measured elapsed.
+        With tracing enabled, the same replay (same arena, same ``out``)
+        additionally times every kernel call into per-``(kernel,
+        routine)`` histograms and emits a ``runtime.run`` span; disabled,
+        the only extra work over the plain replay is one histogram
+        observe of the already-measured elapsed.
 
         ``reuse_buffers=True`` runs warm replays on pooled intermediate
         buffers (:class:`~repro.runtime.plan.PlanArena`, checked out per
@@ -770,41 +771,28 @@ class Dispatcher:
         skips the per-step ``np.empty`` calls.  ``out`` receives the
         result in a caller-owned buffer (shape ``plan.result_shape``,
         must not alias an operand) — together they make a warm replay
-        allocation-free.  Both default off; the default call is
-        byte-for-byte the historical fast path.
+        allocation-free.  Both default off.
         """
         values = [np.asarray(a, dtype=np.float64) for a in arrays]
         sizes = self._infer.infer(values)
         entry = self._select_entry(sizes)
         plan = self._entry_plan(entry, sizes)
-        arena = None
-        if reuse_buffers and not obs_trace._enabled:
-            arena = self._checkout_arena(entry, plan)
+        arena = self._checkout_arena(entry, plan) if reuse_buffers else None
         if not obs_trace._enabled:  # module flag: zero-allocation fast path
             start = time.perf_counter()
-            if arena is None and out is None:
-                result = plan.replay(values)
-            else:
-                result = plan.replay(values, arena, out)
+            result = plan.replay(values, arena, out)
             elapsed = time.perf_counter() - start
-            if reuse_buffers:
-                if arena is not None:
-                    self._release_arena(entry, plan, arena)
-                else:
-                    # Cold plan: remember the step shapes this replay
-                    # produced so the next one can build an arena.
-                    plan.record_buffer_shapes(values, result)
         else:
-            # Traced path: the plan records raw per-step durations (one
-            # C-level append between kernels), then the histogram feeds
-            # and the runtime.run span are all emitted post-hoc in one
-            # cache-coherent cluster — a `with span(...)` here would pay
-            # its bookkeeping cold on both sides of the kernel sequence.
+            # Traced path: the same replay records raw per-step durations
+            # (one C-level append between kernels), then the histogram
+            # feeds and the runtime.run span are all emitted post-hoc in
+            # one cache-coherent cluster — a `with span(...)` here would
+            # pay its bookkeeping cold on both sides of the kernel sequence.
             durations: list[float] = []
             started_at = time.time()
             start = time.perf_counter()
             try:
-                result = plan.replay_timed(values, durations.append)
+                result = plan.replay(values, arena, out, durations.append)
             except BaseException as exc:
                 obs_trace.leaf_span(
                     "runtime.run",
@@ -817,12 +805,6 @@ class Dispatcher:
                 )
                 raise
             elapsed = time.perf_counter() - start
-            if out is not None and result is not out:
-                # The traced loop has no out-parameter form (per-step
-                # timing is its whole point); honour the caller's buffer
-                # with one copy outside the measured kernel sequence.
-                np.copyto(out, result)
-                result = out
             for (observe_s, observe_rate, flops), seconds in zip(
                 self._kernel_observers(entry, plan), durations
             ):
@@ -838,6 +820,12 @@ class Dispatcher:
                 variant=entry.variant.name,
                 elapsed=elapsed,
             )
+        if arena is not None:
+            self._release_arena(entry, plan, arena)
+        elif reuse_buffers:
+            # Cold plan: remember the step shapes this replay produced so
+            # the next one can build an arena.
+            plan.record_buffer_shapes(values, result)
         with self._memo_lock:
             self.backend_executions[plan.backend] = (
                 self.backend_executions.get(plan.backend, 0) + 1

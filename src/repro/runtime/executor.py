@@ -1,15 +1,11 @@
-"""Execute variants on concrete NumPy matrices (paper Section IV, Fig. 1).
+"""Run-time building blocks shared by execution plans (paper Section IV).
 
-The executor is the run-time half of the generated code: it walks a
-variant's kernel-call sequence, feeding stored arrays through the reference
-kernel implementations, resolving pending inversions/transpositions at the
-end, and managing intermediate buffers.
-
-:func:`execute_variant` is the interpretive, validate-every-call entry
-point; the per-request hot path goes through a compiled
-:class:`~repro.runtime.plan.ExecutionPlan` instead, which resolves kernel
-implementations and buffer slots once per ``(variant, sizes)`` pair and
-replays without re-validation.
+The kernel-call configuration (:class:`KernelCallConfig`), stored-shape
+bookkeeping and size inference (:func:`infer_sizes`, the per-chain
+:class:`SizeInferencer`), the fix-up kernel mapping, and the
+concrete-operand helpers: random well-conditioned operands and the
+:func:`naive_evaluate` oracle.  Kernel sequences themselves run in
+:meth:`repro.runtime.plan.ExecutionPlan.replay`.
 
 Storage convention: the caller passes one array per chain matrix, holding
 the *base* matrix ``M_i`` (not ``op(M_i)``).  A transposed operand is
@@ -31,9 +27,8 @@ from repro.kernels import reference
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily to keep repro.runtime import-independent of the
-    # compiler package (whose __init__ imports the shims back into here).
+    # compiler package (whose __init__ imports repro.runtime).
     from repro.compiler.states import OperandState
-    from repro.compiler.variant import Variant
 
 
 @dataclass(frozen=True)
@@ -175,10 +170,9 @@ class SizeInferencer:
 def resolve_fixup(kernel_name: str, state: "OperandState"):
     """The unary callable for one final fix-up kernel.
 
-    Single source of the fix-up name-to-implementation mapping, shared by
-    the interpretive executor and compiled execution plans (which must
-    stay bit-identical).  ``state`` is the variant's final operand state —
-    it determines the stored triangularity for ``TRINV``.
+    Single source of the fix-up name-to-implementation mapping for
+    compiled execution plans.  ``state`` is the variant's final operand
+    state — it determines the stored triangularity for ``TRINV``.
     """
     if kernel_name == "GEINV" or kernel_name == "SYINV":
         return reference.geinv
@@ -194,58 +188,6 @@ def resolve_fixup(kernel_name: str, state: "OperandState"):
     if kernel_name == "COPY":
         return reference.copy
     raise ExecutionError(f"unknown fix-up kernel {kernel_name}")
-
-
-def _apply_fixups(variant: Variant, value: np.ndarray) -> np.ndarray:
-    state = variant.final_state
-    for fix in variant.fixups:
-        value = resolve_fixup(fix.kernel.name, state)(value)
-    return value
-
-
-def execute_variant(
-    variant: Variant, arrays: Sequence[np.ndarray], check_shapes: bool = True
-) -> np.ndarray:
-    """Evaluate the chain on concrete matrices through this variant's kernels."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    if check_shapes:
-        sizes = infer_sizes(variant.chain, arrays)
-        expected = expected_stored_shapes(variant.chain, sizes)
-        for i, (array, shape) in enumerate(zip(arrays, expected)):
-            if array.shape != shape:
-                raise ExecutionError(
-                    f"operand {i}: expected stored shape {shape}, got {array.shape}"
-                )
-
-    values: dict[tuple[str, int], np.ndarray] = {
-        ("matrix", i): array for i, array in enumerate(arrays)
-    }
-    result: Optional[np.ndarray] = None
-    for step in variant.steps:
-        impl = reference.KERNEL_IMPLS.get(step.kernel.name)
-        if impl is None:
-            raise ExecutionError(f"no implementation for kernel {step.kernel.name}")
-        cfg = KernelCallConfig(
-            side=step.side,
-            left_trans=step.left_state.transposed,
-            right_trans=step.right_state.transposed,
-            left_lower=_stored_lower(step.left_state),
-            right_lower=_stored_lower(step.right_state),
-            left_diag=_stored_diag(step.left_state),
-            right_diag=_stored_diag(step.right_state),
-        )
-        left = values[step.left_ref]
-        right = values[step.right_ref]
-        result = impl(left, right, cfg)
-        values[("step", step.index)] = result
-
-    if result is None:  # single-matrix chain: fix-ups do all the work
-        result = arrays[0]
-        if not variant.fixups:
-            # Never alias the caller's operand: without a fix-up to
-            # produce a fresh array, hand back a private copy.
-            return result.copy()
-    return _apply_fixups(variant, result)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.errors import ServiceClosedError, ServiceOverloadedError
-from repro.compiler.dispatch import CostEstimator
+from repro.runtime import CostEstimator
 from repro.compiler.pipeline import PassContext
 from repro.compiler.session import CompilerSession
 from repro.obs import get_registry

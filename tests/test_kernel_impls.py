@@ -11,7 +11,7 @@ operation.
 import numpy as np
 import pytest
 
-from repro.compiler.executor import KernelCallConfig
+from repro.runtime import KernelCallConfig
 from repro.kernels.reference import KERNEL_IMPLS
 
 RNG = np.random.default_rng(42)

@@ -176,19 +176,40 @@ class TestDispatcherReuse:
         ]
         assert big == [], [str(stat) for stat in big]
 
-    def test_traced_replay_skips_arena_but_stays_correct(self, chain, variants):
+    def test_traced_replay_uses_arena_and_honours_out(self, chain, variants):
+        """Tracing times the replay that serving runs: a traced
+        ``reuse_buffers`` run checks out and returns a pooled arena, and
+        writes into the caller's ``out``."""
         from repro.obs import trace as obs_trace
 
         dispatcher = Dispatcher(chain, variants, backend="reference")
         arrays = instance(np.random.default_rng(9))
-        expected = dispatcher.run(arrays).result
+        expected = Dispatcher(chain, variants, backend="reference").run(
+            arrays
+        ).result
+        checked_out = []
+        checkout = dispatcher._checkout_arena
+
+        def spy(entry, plan):
+            arena = checkout(entry, plan)
+            checked_out.append(arena)
+            return arena
+
+        dispatcher._checkout_arena = spy
         obs_trace.enable()
         try:
-            outcome = dispatcher.run(arrays, reuse_buffers=True)
+            cold = dispatcher.run(arrays, reuse_buffers=True)  # records shapes
+            warm = dispatcher.run(arrays, reuse_buffers=True)
             out = np.empty_like(expected)
             traced_out = dispatcher.run(arrays, out=out, reuse_buffers=True)
         finally:
             obs_trace.disable()
-        assert np.array_equal(outcome.result, expected)
+            obs_trace.drain()
+        assert checked_out[0] is None
+        assert isinstance(checked_out[1], PlanArena)
+        assert checked_out[2] is checked_out[1]  # returned, then reused
+        assert dispatcher.memo_stats()["idle_arenas"] == 1
+        assert np.array_equal(cold.result, expected)
+        assert np.array_equal(warm.result, expected)
         assert traced_out.result is out
         assert np.array_equal(out, expected)

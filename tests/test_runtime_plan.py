@@ -1,17 +1,24 @@
 """Tests for compiled execution plans (repro.runtime.plan)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.errors import ExecutionError, ShapeError
 from repro.ir.chain import Chain
 from repro.compiler.selection import all_variants
+from repro.kernels import reference
 from repro.runtime import (
+    KernelCallConfig,
+    blas_available,
+    cemit_available,
     compile_plan,
     execute_variant,
     naive_evaluate,
     random_instance_arrays,
 )
+from repro.runtime.executor import _stored_diag, _stored_lower, resolve_fixup
 
 from conftest import (
     general_chain,
@@ -21,10 +28,37 @@ from conftest import (
 )
 
 
+def interpretive_execute(variant, arrays):
+    """An independent interpretive executor: per step, one ``KERNEL_IMPLS``
+    lookup, one :class:`KernelCallConfig` and ``("step", i)`` dict buffer
+    addressing, then the fix-ups — no plan machinery involved."""
+    values = {
+        ("matrix", i): np.asarray(a, dtype=np.float64)
+        for i, a in enumerate(arrays)
+    }
+    result = values[("matrix", 0)].copy()  # single-matrix chains
+    for step in variant.steps:
+        cfg = KernelCallConfig(
+            side=step.side,
+            left_trans=step.left_state.transposed,
+            right_trans=step.right_state.transposed,
+            left_lower=_stored_lower(step.left_state),
+            right_lower=_stored_lower(step.right_state),
+            left_diag=_stored_diag(step.left_state),
+            right_diag=_stored_diag(step.right_state),
+        )
+        impl = reference.KERNEL_IMPLS[step.kernel.name]
+        result = impl(values[step.left_ref], values[step.right_ref], cfg)
+        values[("step", step.index)] = result
+    for fix in variant.fixups:
+        result = resolve_fixup(fix.kernel.name, variant.final_state)(result)
+    return result
+
+
 class TestPlanExecution:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_interpretive_executor_and_oracle(self, seed):
-        """A plan replays exactly what execute_variant computes."""
+        """A plan replays exactly what an interpretive executor computes."""
         rng = np.random.default_rng(seed)
         chain = random_option_chain(int(rng.integers(2, 6)), rng)
         sizes = small_sizes_for(chain, rng)
@@ -37,7 +71,10 @@ class TestPlanExecution:
             # Bit-identical to the interpretive path: same kernels, same
             # order, same arrays.
             np.testing.assert_array_equal(
-                got, execute_variant(variant, arrays)
+                got, interpretive_execute(variant, arrays)
+            )
+            np.testing.assert_array_equal(
+                execute_variant(variant, arrays), got
             )
             np.testing.assert_allclose(
                 got / scale, expected / scale, atol=1e-7
@@ -74,7 +111,7 @@ class TestPlanExecution:
         np.testing.assert_array_equal(result, original)
         result[0, 0] = 1e9
         np.testing.assert_array_equal(a, original)
-        # Same contract for the interpretive executor.
+        # Same contract for the one-shot execute_variant.
         result = execute_variant(variant, [a])
         assert result is not a
         result[0, 0] = -1e9
@@ -117,3 +154,73 @@ class TestPlanValidation:
         plan = compile_plan(all_variants(chain)[0], sizes)
         arrays = random_instance_arrays(chain, sizes, rng)
         np.testing.assert_array_equal(plan(arrays), plan.execute(arrays))
+
+
+BACKENDS = [
+    "reference",
+    pytest.param(
+        "blas",
+        marks=pytest.mark.skipif(not blas_available(), reason="no scipy BLAS"),
+    ),
+    pytest.param(
+        "c",
+        marks=pytest.mark.skipif(
+            not cemit_available(), reason="no C toolchain or BLAS capsules"
+        ),
+    ),
+]
+
+
+class TestReplayModes:
+    """Every ``replay(values, arena, out, record)`` combination is one loop
+    and computes one answer.  The seeds cover 1- to 5-matrix chains with
+    transposes, inverses, and fix-up kernels."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_replay_mode_matrix(self, backend, seed):
+        rng = np.random.default_rng(100 + seed)
+        chain = random_option_chain(
+            int(rng.integers(1, 6)), rng, allow_transpose=True
+        )
+        sizes = small_sizes_for(chain, rng)
+        arrays = random_instance_arrays(chain, sizes, rng)
+        expected = naive_evaluate(chain, arrays)
+        scale = max(1.0, float(np.abs(expected).max()))
+
+        def fresh():
+            return [np.asarray(a, dtype=np.float64) for a in arrays]
+
+        for variant in all_variants(chain)[:4]:
+            plan = compile_plan(variant, sizes, backend=backend)
+            values = fresh()
+            plain = plan.replay(values)
+            plan.record_buffer_shapes(values, plain)
+            # A timed replay of a native plan runs the per-step lowering,
+            # which matches the fused call only to rounding; every other
+            # plan times the very loop it runs untimed.
+            timed_plain = plan.replay(fresh(), record=[].append)
+            if plan.backend != "c":
+                np.testing.assert_array_equal(timed_plain, plain)
+            for use_arena, use_out, timed in itertools.product(
+                (False, True), repeat=3
+            ):
+                arena = plan.new_arena() if use_arena else None
+                out = np.empty_like(plain) if use_out else None
+                durations: list[float] = []
+                record = durations.append if timed else None
+                got = plan.replay(fresh(), arena, out, record)
+                mode = (backend, variant.name, use_arena, use_out, timed)
+                np.testing.assert_array_equal(
+                    got, timed_plain if timed else plain, err_msg=str(mode)
+                )
+                np.testing.assert_allclose(
+                    got / scale, expected / scale, atol=1e-7, err_msg=str(mode)
+                )
+                assert len(durations) == (len(variant.steps) if timed else 0)
+                if use_out:
+                    assert got is out, mode
+                owned = list(arrays)
+                if arena is not None:
+                    owned += [b for b in arena.buffers if b is not None]
+                assert not any(np.shares_memory(got, a) for a in owned), mode

@@ -119,7 +119,7 @@ class TestHandleRequest:
     def test_execute_npy_arrays_match_in_process_execution(self, service):
         import numpy as np
 
-        from repro.compiler.executor import (
+        from repro.runtime import (
             naive_evaluate,
             random_instance_arrays,
         )
@@ -157,7 +157,7 @@ class TestHandleRequest:
     def test_execute_list_arrays_and_json_round_trip(self, service):
         import numpy as np
 
-        from repro.compiler.executor import random_instance_arrays
+        from repro.runtime import random_instance_arrays
 
         compiled = handle_request(
             service,
@@ -194,7 +194,7 @@ class TestHandleRequest:
     def test_execute_compile_if_needed_and_errors(self, service):
         import numpy as np
 
-        from repro.compiler.executor import random_instance_arrays
+        from repro.runtime import random_instance_arrays
         from repro.ir.parser import parse_program
 
         chain = parse_program(SOURCE_AB).chain
