@@ -6,9 +6,10 @@ cached histogram observe of the already-measured elapsed time; enabled,
 every kernel call is individually timed into per-``(kernel, routine)``
 histograms and the call is stamped with a ``runtime.run`` leaf span.
 
-The **pre-obs baseline**, reconstructed faithfully here from the PR-5
-``run`` body, is the same memoized dispatch + plan replay with no flag
-check and no histogram feed.  The acceptance test bounds the overhead
+The **pre-obs baseline**, reconstructed here from the pre-obs ``run``
+body, is the same memoized dispatch (the very ``_select_entry`` /
+``_entry_plan`` calls ``run`` makes) + plan replay with no flag check and
+no histogram feed.  The acceptance test bounds the overhead
 ratios: disabled tracing within ``DISABLED_BUDGET`` of the baseline, a
 fully enabled run within ``ENABLED_BUDGET``.  It does so for two call
 shapes: the default ``run(arrays)``, and the serving shape
@@ -74,13 +75,18 @@ def _setup(n: int, rng, low=64, high=160):
 
 
 def _baseline_call(dispatcher, arrays, arena=None):
-    """One warm request exactly as the pre-obs ``run`` paid it (the PR-5
-    body, verbatim): memoized dispatch through ``plan_for``, plan replay,
-    outcome counters — no flag read, no histogram feed.  ``arena`` is the
-    serving shape's pre-built intermediate-buffer arena."""
+    """One warm request as the pre-obs ``run`` paid it: memoized dispatch
+    through the same ``_select_entry`` / ``_entry_plan`` calls ``run``
+    makes, plan replay, outcome counters — no flag read, no histogram
+    feed.  (Going through ``plan_for`` instead would add a call and a
+    per-request size-tuple rebuild that ``run`` does not pay, and so hide
+    part of the budget.)  ``arena`` is the serving shape's pre-built
+    intermediate-buffer arena."""
     values = [np.asarray(a, dtype=np.float64) for a in arrays]
     sizes = dispatcher._infer.infer(values)
-    variant, cost, plan = dispatcher.plan_for(sizes, validate=False)
+    entry = dispatcher._select_entry(sizes)
+    plan = dispatcher._entry_plan(entry, sizes)
+    variant, cost = entry.variant, entry.cost
     start = time.perf_counter()
     result = plan.replay(values, arena)
     elapsed = time.perf_counter() - start

@@ -4,16 +4,26 @@ Multi-versioning shifts work to compile time; this benchmark quantifies it:
 building one variant (the four-step procedure of Section IV), enumerating
 all C_{n-1} variants, and emitting the C++ translation unit.
 
-The acceptance test gates the shared-subtree variant pool: building the
-exhaustive pool of an 8-matrix chain and its FLOP cost matrix on 1000
-training instances (the compile pipeline's ``enumerate`` and
-``cost-matrix`` passes at default options) must be >= 3x faster than the
-per-tree path it replaced, with identical pools and bit-identical cost
-matrices.  The per-tree path is no longer part of the package, so
-:func:`legacy_pool_and_costs` below rebuilds it: one ``build_variant``
-per tree (fresh operand states, a quadratic ready-set linearization, a
-span-keyed state map) and the blocked ``np.unique``/``np.add.at`` sweep
-over the flattened terms of the whole pool.
+Two acceptance tests gate compile time at n=8 on 1000 training
+instances.
+
+* **Shared-subtree pool.**  Building the exhaustive pool and its FLOP cost
+  matrix (what the ``enumerate`` and ``cost-matrix`` passes do when
+  expansion asks for a pool) must be >= 3x faster than the per-tree path
+  it replaced, with identical pools and bit-identical cost matrices.  The
+  per-tree path is no longer part of the package, so
+  :func:`legacy_pool_and_costs` below rebuilds it: one ``build_variant``
+  per tree (fresh operand states, a quadratic ready-set linearization, a
+  span-keyed state map) and the blocked ``np.unique``/``np.add.at`` sweep
+  over the flattened terms of the whole pool.
+* **Pool-free selection.**  The default compile's ``enumerate`` +
+  ``cost-matrix`` + ``select`` passes (the ``E_h`` variants, their cost
+  rows, the batched DP optimum) must be >= 5x faster than the exhaustive
+  path they replaced, with identical selections.  :func:`exhaustive_select`
+  rebuilds that path: all Catalan-many variants, their cost matrix with
+  its column minimum as the optimum, and the essential-set pass that
+  re-built the ``E_h`` and looked them up in the pool by signature (with
+  today's tie rule, so both paths answer alike).
 """
 
 import gc
@@ -25,11 +35,26 @@ import pytest
 
 from repro.codegen.cpp_emitter import emit_cpp
 from repro.compiler.parenthesization import enumerate_trees, left_to_right_tree
-from repro.compiler.selection import CostMatrix, all_variants, essential_set
+from repro.compiler.dp import chain_dp
+from repro.compiler.parenthesization import fanning_out_tree
+from repro.compiler.pipeline import (
+    CompileOptions,
+    CostMatrixPass,
+    EnumeratePass,
+    EssentialSetPass,
+    PassContext,
+)
+from repro.compiler.selection import (
+    TIE_TOLERANCE,
+    CostMatrix,
+    all_variants,
+    essential_set,
+)
 from repro.compiler.states import associate, initial_states
 from repro.compiler.variant import (
     Step,
     Variant,
+    VariantBuilder,
     _build_fixups,
     _make_same_class,
     build_variant,
@@ -40,6 +65,9 @@ from conftest import emit
 
 #: The CI acceptance bound on pool + cost-matrix construction at n=8.
 REQUIRED_SPEEDUP = 3.0
+#: The CI acceptance bound on the pool-free enumerate + cost-matrix +
+#: select passes against the exhaustive path at n=8.
+REQUIRED_POOL_FREE_SPEEDUP = 5.0
 #: Interleaved rounds per path for the acceptance medians.
 REPS = 7
 #: The compile pipeline's default ``num_training_instances``.
@@ -200,6 +228,79 @@ def test_shared_pool_acceptance(n):
         f"speedup  {speedup:8.1f}x (required >= {REQUIRED_SPEEDUP}x)",
     )
     assert speedup >= REQUIRED_SPEEDUP, timed
+
+
+# -- the exhaustive selection path, as it was -----------------------------------
+
+def exhaustive_select(chain, instances):
+    """Enumerate + cost-matrix + select over the whole set ``A``."""
+    matrix = CostMatrix(all_variants(chain), instances)
+    sig_to_idx = {v.signature(): i for i, v in enumerate(matrix.variants)}
+    builder = VariantBuilder(chain)
+    candidates_by_h = {
+        h: builder.build(fanning_out_tree(chain.n, h), name=f"E{h}")
+        for h in range(chain.n + 1)
+    }
+    selected, selected_idx, selected_sigs = [], [], set()
+    for cls in chain.equivalence_classes():
+        if any(candidates_by_h[h].signature() in selected_sigs for h in cls):
+            continue
+        best, best_value = None, float("inf")
+        for h in cls:
+            variant = candidates_by_h[h]
+            value = matrix.average_penalty(
+                selected_idx + [sig_to_idx[variant.signature()]]
+            )
+            if value < best_value - TIE_TOLERANCE:
+                best, best_value = variant, value
+        selected.append(best)
+        selected_idx.append(sig_to_idx[best.signature()])
+        selected_sigs.add(best.signature())
+    return selected
+
+
+def pool_free_select(chain, instances):
+    """Today's enumerate + cost-matrix + select passes at ``expand_by=0``,
+    from a cold DP graph cache (as a fresh compile sees it)."""
+    chain_dp.cache_clear()
+    ctx = PassContext(source=chain, options=CompileOptions())
+    ctx.chain, ctx.training_instances = chain, instances
+    for compiler_pass in (EnumeratePass(), CostMatrixPass(), EssentialSetPass()):
+        compiler_pass.run(ctx)
+    return ctx.selected
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_pool_free_selection_acceptance(n):
+    """CI bound at n=8: pool-free selection >= 5x the exhaustive path."""
+    rng = np.random.default_rng(8)
+    chain = sample_shapes(n, 1, rng, rectangular_probability=0.5)[0]
+    instances = np.asarray(
+        sample_instances(chain, TRAINING_INSTANCES, rng), dtype=np.float64
+    )
+    expected = exhaustive_select(chain, instances)
+    got = pool_free_select(chain, instances)
+    assert [(v.name, v.signature()) for v in got] == [
+        (v.name, v.signature()) for v in expected
+    ]
+    if n != 8:
+        return  # n=10 checks parity only
+    timed = _interleaved_medians(
+        {
+            "exhaustive": lambda: exhaustive_select(chain, instances),
+            "pool-free": lambda: pool_free_select(chain, instances),
+        }
+    )
+    speedup = timed["exhaustive"] / timed["pool-free"]
+    emit(
+        f"Theorem 2 selection, n={n}, {TRAINING_INSTANCES} instances "
+        f"(enumerate + cost-matrix + select, interleaved medians of {REPS})",
+        f"exhaustive {timed['exhaustive'] * 1e3:8.1f} ms\n"
+        f"pool-free  {timed['pool-free'] * 1e3:8.1f} ms\n"
+        f"speedup    {speedup:8.1f}x (required >= "
+        f"{REQUIRED_POOL_FREE_SPEEDUP}x)",
+    )
+    assert speedup >= REQUIRED_POOL_FREE_SPEEDUP, timed
 
 
 @pytest.fixture(scope="module")

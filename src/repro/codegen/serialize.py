@@ -165,16 +165,18 @@ def variant_from_dict(payload: dict[str, Any], chain: Chain) -> Variant:
 
 # -- top level ----------------------------------------------------------------
 
+def to_dict(chain: Chain, variants: list[Variant]) -> dict[str, Any]:
+    """A compiled chain (shape + variants) as a JSON-ready dict."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "chain": chain_to_dict(chain),
+        "variants": [variant_to_dict(v) for v in variants],
+    }
+
+
 def dumps(chain: Chain, variants: list[Variant], indent: int | None = None) -> str:
     """Serialize a compiled chain (shape + variants) to a JSON string."""
-    return json.dumps(
-        {
-            "format_version": FORMAT_VERSION,
-            "chain": chain_to_dict(chain),
-            "variants": [variant_to_dict(v) for v in variants],
-        },
-        indent=indent,
-    )
+    return json.dumps(to_dict(chain, variants), indent=indent)
 
 
 def loads(payload: str) -> tuple[Chain, list[Variant]]:
@@ -186,6 +188,11 @@ def loads(payload: str) -> tuple[Chain, list[Variant]]:
         data = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"invalid JSON: {exc}") from exc
+    return from_dict(data)
+
+
+def from_dict(data: Any) -> tuple[Chain, list[Variant]]:
+    """:func:`loads` on an already-decoded payload."""
     if not isinstance(data, dict):
         raise SerializationError("top-level payload must be an object")
     version = data.get("format_version")

@@ -12,12 +12,13 @@ Modules:
   classes, the essential set of Theorem 2, and penalties (§V).
 * :mod:`repro.compiler.expansion` — the greedy ExpandSet procedure
   (Algorithm 1, §VI).
-* :mod:`repro.compiler.dp` — the generalized matrix chain dynamic program
-  for concrete sizes (the Linnea-style optimal search used as baseline,
-  and the seed generator of the DP-seeded variant space).
-* :mod:`repro.compiler.variant_space` — pluggable candidate generation:
-  exhaustive Catalan enumeration for small chains, lazy DP-seeded pools
-  that scale compilation to long chains (§III-B beyond n ≈ 12).
+* :mod:`repro.compiler.dp` — the generalized matrix chain dynamic program,
+  batched over instances: the exact optimum Theorem 2 penalties divide
+  by, the Linnea-style optimal search used as baseline, and the seed
+  generator of the DP-seeded variant space.
+* :mod:`repro.compiler.variant_space` — pluggable candidate pools for
+  expansion: exhaustive Catalan enumeration for small chains, lazy
+  DP-seeded pools for long chains (§III-B beyond n ≈ 12).
 * :mod:`repro.compiler.pipeline` — the staged pass pipeline (parse,
   simplify, sample, enumerate, cost-matrix, select, expand, dispatch).
 * :mod:`repro.compiler.cache` — the content-addressed compilation cache
@@ -48,7 +49,9 @@ from repro.compiler.selection import (
 from repro.compiler.expansion import expand_set, AveragePenalty, MaxPenalty
 from repro.runtime import Dispatcher, execute_variant, random_instance_arrays
 from repro.compiler.dp import (
+    ChainDP,
     dp_optimal_cost,
+    dp_optimal_costs,
     dp_optimal_plan,
     dp_optimal_tree,
     dp_plan_variants,
@@ -124,7 +127,9 @@ __all__ = [
     "Dispatcher",
     "execute_variant",
     "random_instance_arrays",
+    "ChainDP",
     "dp_optimal_cost",
+    "dp_optimal_costs",
     "dp_optimal_plan",
     "dp_optimal_tree",
     "dp_plan_variants",

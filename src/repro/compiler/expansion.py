@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.compiler.selection import CostMatrix
+from repro.compiler.selection import TIE_TOLERANCE, CostMatrix
 from repro.compiler.variant import Variant
 
 #: An objective maps (cost_matrix, subset_indices) to a score (lower=better).
@@ -50,6 +50,9 @@ def expand_set(
     matrix); ``max_size`` is ``K``.  Returns the expanded set ``Z`` with
     ``|Z| <= K``.  The greedy loop stops early as soon as no candidate
     improves the objective, exactly as the algorithm's early return.
+    Values within :data:`~repro.compiler.selection.TIE_TOLERANCE` tie: the
+    lower candidate index wins, and a tie with the incumbent is no
+    improvement.
     """
     sig_to_idx = {v.signature(): i for i, v in enumerate(cost_matrix.variants)}
     selected_idx: list[int] = []
@@ -72,10 +75,10 @@ def expand_set(
             if candidate in selected_idx:
                 continue
             value = objective(cost_matrix, selected_idx + [candidate])
-            if value < best_value:
+            if value < best_value - TIE_TOLERANCE:
                 best_value = value
                 best_candidate = candidate
-        if best_candidate is None or best_value >= v_min:
+        if best_candidate is None or best_value >= v_min - TIE_TOLERANCE:
             break  # line 13-15: no improvement
         selected_idx.append(best_candidate)
         v_min = best_value

@@ -1,15 +1,17 @@
 """Pass-based compilation pipeline (the staged generator of Fig. 1).
 
 The generator runs a fixed conceptual sequence — parse, simplify, sample a
-training set, generate the candidate variant pool (through a pluggable
+training set, build the candidates (the fanning-out variants ``E_h``; only
+when expansion is requested, a whole variant pool through a pluggable
 :mod:`~repro.compiler.variant_space` strategy: exhaustive Catalan
 enumeration for small chains, DP-seeded sparse generation for long ones),
-build the cost matrix, select the essential set per Theorem 2, greedily
-expand per Algorithm 1, build the dispatcher.  This module makes each stage an explicit, named
-:class:`CompilerPass` over a shared :class:`PassContext`, so stages can be
-skipped, swapped, or instrumented, and so the compilation cache can bypass
-exactly the expensive middle of the pipeline (everything between
-simplification and dispatch) on a structural hit.
+build their cost matrix against the exact per-instance optimum of the
+batched DP, select the essential set per Theorem 2, greedily expand per
+Algorithm 1, build the dispatcher.  This module makes each stage an
+explicit, named :class:`CompilerPass` over a shared :class:`PassContext`,
+so stages can be skipped, swapped, or instrumented, and so the compilation
+cache can bypass exactly the expensive middle of the pipeline (everything
+between simplification and dispatch) on a structural hit.
 
 Passes marked ``cacheable = True`` produce artifacts that depend only on the
 chain *structure* and the :class:`CompileOptions`; those are the passes a
@@ -34,7 +36,8 @@ from repro.obs import trace as obs_trace
 from repro.runtime import CostEstimator, Dispatcher, flop_estimator
 from repro.compiler.expansion import AveragePenalty, MaxPenalty, expand_set
 from repro.compiler.program import CompiledProgram
-from repro.compiler.selection import CostMatrix, essential_set
+from repro.compiler.dp import dp_optimal_costs
+from repro.compiler.selection import CostMatrix, essential_set, fanning_out_variants
 from repro.compiler.variant import Variant
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -312,13 +315,17 @@ class TrainingSamplePass(CompilerPass):
 
 
 class EnumeratePass(CompilerPass):
-    """Generate the candidate variant pool through a variant space.
+    """Generate the candidate variants.
 
-    The strategy comes from ``options.variant_space`` (resolved per chain —
-    ``"auto"`` switches from exhaustive to DP-seeded on long chains), or
-    from an explicit :class:`~repro.compiler.variant_space.VariantSpace`
-    instance pinned at pass construction, which wins over the options and
-    is keyed into the pipeline fingerprint instead.
+    Theorem 2 selection reads only the distinct fanning-out variants
+    ``E_h``, so without expansion (``expand_by=0``) those are all that is
+    built (strategy ``"fanning"``).  Algorithm 1 picks from a whole pool:
+    with ``expand_by > 0`` the pool comes from a variant space — the one
+    named by ``options.variant_space`` (resolved per chain — ``"auto"``
+    switches from exhaustive to DP-seeded on long chains), or an explicit
+    :class:`~repro.compiler.variant_space.VariantSpace` instance pinned at
+    pass construction, which wins over the options and is keyed into the
+    pipeline fingerprint instead.
     """
 
     name = "enumerate"
@@ -341,6 +348,14 @@ class EnumeratePass(CompilerPass):
                 "strategy": "single",
                 "requested": ctx.options.variant_space,
                 "pool_size": 1,
+            }
+            return
+        if ctx.options.expand_by <= 0:
+            ctx.variants = list(fanning_out_variants(chain).values())
+            ctx.diagnostics["variant_pool"] = {
+                "strategy": "fanning",
+                "requested": ctx.options.variant_space,
+                "pool_size": len(ctx.variants),
             }
             return
         if self.space is not None:
@@ -369,11 +384,11 @@ class EnumeratePass(CompilerPass):
 
 
 class CostMatrixPass(CompilerPass):
-    """Pre-evaluate every pool variant on every training instance (batched).
+    """Pre-evaluate every candidate on every training instance (batched).
 
-    The matrix's per-instance minimum is the penalty baseline: the true
-    optimum over ``A`` under the exhaustive space, a DP-anchored upper
-    bound under sparse spaces.
+    The penalty baseline is the exact per-instance optimum over ``A`` from
+    the batched DP, whatever the candidates are — so penalties are exact
+    for long chains and sparse pools too.
     """
 
     name = "cost-matrix"
@@ -383,16 +398,21 @@ class CostMatrixPass(CompilerPass):
         chain = ctx.require("chain")
         if chain.n == 1:
             return  # nothing to score: the single variant is forced
+        instances = np.asarray(
+            ctx.require("training_instances"), dtype=np.float64
+        )
         ctx.cost_matrix = CostMatrix(
-            ctx.require("variants"), ctx.require("training_instances")
+            ctx.require("variants"),
+            instances,
+            optimal=dp_optimal_costs(chain, instances),
         )
 
 
 class EssentialSetPass(CompilerPass):
     """Theorem 2: one fanning-out representative per equivalence class.
 
-    Works on whatever pool the variant space generated — every space
-    guarantees the fanning-out candidates are present in the cost matrix.
+    Reuses the ``E_h`` objects the enumerate pass built (every variant
+    space also includes them in its pool).
     """
 
     name = "select"

@@ -189,21 +189,21 @@ class CompiledProgram:
                         return live
         return dict(self.calibration) if self.calibration else {}
 
-    def dumps(self, indent: int | None = None) -> str:
-        """Serialize to the versioned artifact wire format (JSON text).
+    def to_payload(self) -> dict[str, Any]:
+        """The artifact as a JSON-ready dict: what :meth:`dumps` encodes.
 
-        The optional ``calibration`` section is emitted only when there is
-        learned state to ship (see :meth:`_live_calibration`), so
-        untrafficked artifacts stay byte-identical in shape to v1 apart
-        from the version stamp.
+        A response that ships the artifact embeds this dict directly, so
+        the artifact is encoded once, with the response.  The optional
+        ``calibration`` section is emitted only when there is learned
+        state to ship (see :meth:`_live_calibration`), so untrafficked
+        artifacts stay byte-identical in shape to v1 apart from the
+        version stamp.
         """
         from repro.codegen import serialize
 
         payload = {
             "artifact_version": ARTIFACT_VERSION,
-            "program": json.loads(
-                serialize.dumps(self.chain, list(self.variants))
-            ),
+            "program": serialize.to_dict(self.chain, list(self.variants)),
             "training_instances": np.asarray(self.training_instances).tolist(),
             "meta": {
                 "key": self.key,
@@ -217,7 +217,11 @@ class CompiledProgram:
         calibration = self._live_calibration()
         if calibration:
             payload["calibration"] = calibration
-        return json.dumps(payload, indent=indent)
+        return payload
+
+    def dumps(self, indent: int | None = None) -> str:
+        """Serialize to the versioned artifact wire format (JSON text)."""
+        return json.dumps(self.to_payload(), indent=indent)
 
     @classmethod
     def loads(cls, text: str) -> "CompiledProgram":
@@ -245,7 +249,7 @@ class CompiledProgram:
         if not isinstance(program, dict):
             raise ArtifactError("artifact is missing the 'program' object")
         try:
-            chain, variants = serialize.loads(json.dumps(program))
+            chain, variants = serialize.from_dict(program)
         except SerializationError as exc:
             raise ArtifactError(f"malformed program payload: {exc}") from exc
         try:

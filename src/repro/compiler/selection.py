@@ -8,13 +8,18 @@ Implements:
   (``n - 1`` distinct members for ``n <= 3``, ``n + 1`` otherwise);
 * the essential set ``E_s`` of Theorem 2: one fanning-out variant per
   size-symbol equivalence class, with representatives chosen greedily to
-  minimize an objective over a training set of instances;
+  minimize an objective over a training set of instances.  Scoring needs
+  only the ``E_h`` cost rows and the per-instance optimum, which the
+  batched DP of :mod:`repro.compiler.dp` computes exactly — no pool of
+  Catalan-many variants is built;
 * penalties ``P(Z, q)`` and empirical total penalties over instance sets;
 * the left-to-right reference variant ``L``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,12 +30,19 @@ from repro.compiler.parenthesization import (
     fanning_out_tree,
     left_to_right_tree,
 )
+from repro.compiler.dp import dp_optimal_costs
 from repro.compiler.variant import Variant, VariantBuilder, build_variant
 
 #: Worst-case bound on the constant of Lemma 2 (``alpha-hat <= 8``), hence
 #: ``T(E_m, q) < 16 T_opt`` and the total penalty of E is at most 15.
 LEMMA2_FACTOR = 16.0
 TOTAL_PENALTY_BOUND = 15.0
+
+#: Objective values (penalties, hence dimensionless) closer than this are a
+#: tie, which the smaller ``h`` / lower candidate index wins — otherwise
+#: the last bit of a summation order would decide between variants of
+#: equal FLOPs.
+TIE_TOLERANCE = 1e-12
 
 
 def all_variants(chain: Chain) -> list[Variant]:
@@ -52,16 +64,22 @@ def distinct_fanning_trees(chain: Chain) -> dict[int, "ParenTree"]:
     collapse rule — both the variant construction below and the variant
     spaces build their fanning candidates from it.
     """
+    return dict(_fanning_layout(chain.n)[0])
+
+
+@lru_cache(maxsize=64)
+def _fanning_layout(n: int) -> tuple[dict[int, "ParenTree"], dict[int, object]]:
+    """Per chain length: the distinct ``E_h`` trees and every ``h``'s tree
+    key (they depend on ``n`` alone)."""
     trees: dict[int, "ParenTree"] = {}
-    seen: set = set()
-    for h in range(chain.n + 1):
-        tree = fanning_out_tree(chain.n, h)
+    keys: dict[int, object] = {}
+    for h in range(n + 1):
+        tree = fanning_out_tree(n, h)
         key = _tree_key(tree)
-        if key in seen:
-            continue
-        seen.add(key)
-        trees[h] = tree
-    return trees
+        if key not in keys.values():
+            trees[h] = tree
+        keys[h] = key
+    return trees, keys
 
 
 def fanning_out_variants(chain: Chain) -> dict[int, Variant]:
@@ -273,11 +291,15 @@ class CostMatrix:
         variants: Sequence[Variant],
         instances: np.ndarray,
         evaluator: Optional[Callable[[Variant, np.ndarray], np.ndarray]] = None,
+        optimal: Optional[np.ndarray] = None,
     ):
         """``evaluator(variant, instances) -> per-instance costs``.
 
         Defaults to the FLOP cost; the execution-time experiment passes the
         simulated machine's or the performance models' time estimates.
+        ``optimal`` is the per-instance penalty baseline; it defaults to
+        the column minimum, which is the optimum only when ``variants``
+        is all of ``A`` (:func:`fanning_cost_matrix` passes the DP row).
         """
         self.variants = list(variants)
         self.instances = np.asarray(instances, dtype=np.float64)
@@ -289,7 +311,11 @@ class CostMatrix:
             self.costs = np.stack(
                 [evaluator(v, self.instances) for v in self.variants]
             )
-        self.optimal = self.costs.min(axis=0)
+        self.optimal = (
+            self.costs.min(axis=0)
+            if optimal is None
+            else np.asarray(optimal, dtype=np.float64)
+        )
 
     @property
     def num_instances(self) -> int:
@@ -312,6 +338,39 @@ class CostMatrix:
         return float(self.penalties(indices).max())
 
 
+def fanning_cost_matrix(chain: Chain, instances: np.ndarray) -> CostMatrix:
+    """The pool-free Theorem 2 matrix: the distinct ``E_h`` rows, with the
+    exact per-instance optimum over ``A`` from the batched DP."""
+    instances = np.asarray(instances, dtype=np.float64)
+    return CostMatrix(
+        list(fanning_out_variants(chain).values()),
+        instances,
+        optimal=dp_optimal_costs(chain, instances),
+    )
+
+
+def _fanning_rows(chain: Chain, variants: Sequence[Variant]) -> dict[int, int]:
+    """The row of every ``E_h`` (``h = 0..n``) among ``variants``, by tree."""
+    wanted = _fanning_layout(chain.n)[1]
+    pending = set(wanted.values())
+    rows_by_key: dict = {}
+    for i, variant in enumerate(variants):
+        if not pending:
+            break
+        if variant.tree is not None:
+            key = _tree_key(variant.tree)
+            if key in pending:
+                rows_by_key[key] = i
+                pending.discard(key)
+    missing = sorted(h for h, key in wanted.items() if key not in rows_by_key)
+    if missing:
+        raise ValueError(
+            f"cost matrix is missing the fanning-out variants E_h for "
+            f"h in {missing}; every variant space must include them"
+        )
+    return {h: rows_by_key[key] for h, key in wanted.items()}
+
+
 def essential_set(
     chain: Chain,
     training_instances: Optional[np.ndarray] = None,
@@ -324,57 +383,40 @@ def essential_set(
     picked; the theorem guarantees a finite total penalty for *any* choice,
     so we pick greedily: classes are visited in order and, for each, the
     candidate fanning-out variant that minimizes the objective (average or
-    maximum penalty) over the training set joins the set.  Classes whose
-    candidates coincide with an already-selected parenthesization (duplicate
+    maximum penalty) over the training set joins the set, the smallest
+    ``h`` winning ties (:data:`TIE_TOLERANCE`).  Classes whose candidates
+    coincide with an already-selected parenthesization (duplicate
     fanning-out trees collapse) are skipped, which is why ``|E_s|`` can be
     smaller than the number of classes.
 
-    ``cost_matrix`` must cover every fanning-out variant of the chain (any
-    :mod:`~repro.compiler.variant_space` pool qualifies; the exhaustive set
-    ``A`` additionally makes the penalties exact, measured against the true
-    optimum).  If omitted, it is built over ``A`` from
-    ``training_instances``.
+    ``cost_matrix`` must hold a row for every fanning-out variant of the
+    chain (found by tree); its ``optimal`` is the penalty baseline.  If
+    omitted, the pool-free :func:`fanning_cost_matrix` is built from
+    ``training_instances``.  The selected variants are named ``E{h}``.
     """
     if cost_matrix is None:
         if training_instances is None:
             raise ValueError("provide training_instances or a cost_matrix")
-        cost_matrix = CostMatrix(all_variants(chain), training_instances)
-    sig_to_idx = {v.signature(): i for i, v in enumerate(cost_matrix.variants)}
-
-    builder = VariantBuilder(chain)
-    candidates_by_h = {
-        h: builder.build(fanning_out_tree(chain.n, h), name=f"E{h}")
-        for h in range(chain.n + 1)
-    }
-    missing = sorted(
-        h
-        for h, candidate in candidates_by_h.items()
-        if candidate.signature() not in sig_to_idx
-    )
-    if missing:
-        raise ValueError(
-            f"cost matrix is missing the fanning-out variants E_h for "
-            f"h in {missing}; every variant space must include them"
-        )
+        cost_matrix = fanning_cost_matrix(chain, training_instances)
+    rows = _fanning_rows(chain, cost_matrix.variants)
     score = (
         cost_matrix.average_penalty if objective == "avg" else cost_matrix.max_penalty
     )
 
     selected: list[Variant] = []
     selected_idx: list[int] = []
-    selected_sigs: set = set()
     for cls in chain.equivalence_classes():
-        if any(candidates_by_h[h].signature() in selected_sigs for h in cls):
+        if any(rows[h] in selected_idx for h in cls):
             continue  # class already represented by a coinciding tree
-        best, best_value = None, float("inf")
+        best, best_value = cls[0], float("inf")
         for h in cls:
-            variant = candidates_by_h[h]
-            trial = selected_idx + [sig_to_idx[variant.signature()]]
-            value = score(trial)
-            if value < best_value:
-                best, best_value = variant, value
-        assert best is not None
-        selected.append(best)
-        selected_idx.append(sig_to_idx[best.signature()])
-        selected_sigs.add(best.signature())
+            value = score(selected_idx + [rows[h]])
+            if value < best_value - TIE_TOLERANCE:
+                best, best_value = h, value
+        selected_idx.append(rows[best])
+        variant = cost_matrix.variants[rows[best]]
+        name = f"E{best}"
+        selected.append(
+            variant if variant.name == name else dataclasses.replace(variant, name=name)
+        )
     return selected

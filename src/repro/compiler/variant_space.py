@@ -1,8 +1,11 @@
-"""Pluggable candidate-variant generation (the compiler's scaling layer).
+"""Pluggable candidate-pool generation for expansion (Algorithm 1).
 
-The pipeline's ``enumerate`` stage used to mean one thing: build *every*
-parenthesization variant — Catalan-many, intractable past n ≈ 12.  This
-module makes candidate generation a first-class strategy:
+Theorem 2 selection needs no pool: the ``enumerate`` pass builds only the
+fanning-out variants ``E_h``, and the penalty baseline is the exact
+per-instance optimum of the batched DP (:mod:`repro.compiler.dp`).  Only
+expansion (``expand_by > 0``) picks from a wider pool, and a pool of
+*every* parenthesization is Catalan-many, intractable past n ≈ 12.  This
+module makes pool generation a strategy:
 
 * :class:`ExhaustiveSpace` — the full set ``A`` of the paper.  Ground truth
   for small chains, and the space every selection guarantee (Theorem 2,
@@ -19,12 +22,12 @@ module makes candidate generation a first-class strategy:
   ``O(Catalan(n - 1))`` variants to roughly ``O(seeds · n^3)`` DP work plus
   a few hundred candidate builds.
 
-Within a generated pool, penalties keep their paper semantics — they are
-measured against the pool minimum, which for :class:`ExhaustiveSpace` is the
-true optimum over ``A`` and for :class:`DPSeededSpace` a tight upper bound
-anchored at the sampled instances.  Both spaces guarantee the fanning-out
-variants are present (and are never evicted by ``max_variants``), so the
-essential-set pass always finds its candidates in the cost matrix.
+Penalties are not pool-relative: whatever the pool, the cost-matrix pass
+divides by the DP optimum over all of ``A``, so a sparse pool limits which
+variants expansion can add, never the accuracy of the penalties.  Both
+spaces include the fanning-out variants (never evicted by
+``max_variants``), so the essential-set pass finds its candidates in the
+pool.
 
 Strategy choice is a :class:`~repro.compiler.pipeline.CompileOptions` knob
 (``variant_space`` = ``"auto"`` | ``"exhaustive"`` | ``"dp"`` |
@@ -32,6 +35,7 @@ Strategy choice is a :class:`~repro.compiler.pipeline.CompileOptions` knob
 compilation-cache key; ``auto`` picks exhaustive up to
 :data:`AUTO_EXHAUSTIVE_MAX_N` matrices and DP-seeded beyond, and
 ``dp-adaptive`` grows the DP seeding until the held-out penalty plateaus.
+At ``expand_by=0`` the knobs do not change the selection.
 """
 
 from __future__ import annotations
@@ -57,11 +61,12 @@ from repro.compiler.selection import (
 )
 from repro.compiler.variant import Variant, VariantBuilder
 
-#: Longest chain ``variant_space="auto"`` still enumerates exhaustively.
-#: Measured on a 2-vCPU Xeon host with 1000 training instances, a fresh
-#: exhaustive compile at n = 10 (Catalan(9) = 4862 variants) takes ~0.7 s
-#: at ~140 MB peak RSS; n = 11 (16796 variants) takes ~3.4 s at ~330 MB.
-#: Beyond 10, auto switches to the DP-seeded space.
+#: Longest chain ``variant_space="auto"`` still enumerates exhaustively
+#: (for expansion).  Measured on a 2-vCPU Xeon host with 1000 training
+#: instances, a fresh exhaustive compile at n = 10 (Catalan(9) = 4862
+#: variants) takes ~0.7 s at ~140 MB peak RSS; n = 11 (16796 variants)
+#: takes ~3.4 s at ~330 MB.  Beyond 10, auto switches to the DP-seeded
+#: space.
 AUTO_EXHAUSTIVE_MAX_N = 10
 
 #: Hard ceiling on eager Catalan enumeration: an explicit
@@ -74,12 +79,12 @@ SPACE_NAMES = ("auto", "exhaustive", "dp", "dp-adaptive")
 
 
 class VariantSpace:
-    """One candidate-generation strategy for the ``enumerate`` stage.
+    """One pool-generation strategy for the ``enumerate`` stage.
 
     Subclasses set ``name`` and implement :meth:`generate`.  A space must
     return variants of the per-parenthesization family ``A`` *including*
     every distinct fanning-out variant ``E_h`` — the essential-set pass
-    resolves its candidates against the pool by signature.
+    finds its candidates in the pool by tree.
     """
 
     name: str = "<space>"

@@ -413,7 +413,7 @@ def _handle_compile(service: CompileService, payload: dict) -> dict:
         # Ship the full versioned CompiledProgram so the client can run
         # dispatch/execute offline (repro.api.load_program on the saved
         # object, no further server round-trips).
-        response["artifact"] = json.loads(generated.to_program().dumps())
+        response["artifact"] = generated.to_program().to_payload()
     return response
 
 

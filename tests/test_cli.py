@@ -112,11 +112,13 @@ class TestCli:
             " Matrix C <General, Singular>; R := A * B * C;"
         )
         assert main(
-            ["compile", "--source", source, "--train", "30", "--timings"]
+            ["compile", "--source", source, "--train", "30", "--timings",
+             "--expand", "1"]
         ) == 0
         out = capsys.readouterr().out
         assert "pass timings:" in out
         assert "variant pool:" in out
+        # Only expansion builds a variant-space pool.
         assert "strategy=exhaustive" in out
 
     def test_compile_without_input_fails(self, capsys):

@@ -40,7 +40,10 @@ class TestPipeline:
         assert [p.name for p in default_pipeline()] == EXPECTED_ORDER
 
     def test_full_run_produces_all_artifacts(self):
-        ctx = run_pipeline(general_chain(4), num_training_instances=50)
+        # Expansion is what makes the enumerate pass build the whole pool.
+        ctx = run_pipeline(
+            general_chain(4), num_training_instances=50, expand_by=1
+        )
         assert ctx.chain is not None
         assert ctx.training_instances.shape == (50, 5)
         assert len(ctx.variants) == 5  # Catalan(3)

@@ -142,6 +142,72 @@ class TestWireFormat:
         assert CacheEntry is CompiledProgram
 
 
+def decode_reencode_dumps(program: CompiledProgram, indent=None) -> str:
+    """``dumps`` as it was: the program section went through
+    ``serialize.dumps`` -> ``json.loads`` before the envelope's encode."""
+    from repro.codegen import serialize
+
+    payload = program.to_payload()
+    payload["program"] = json.loads(
+        serialize.dumps(program.chain, list(program.variants))
+    )
+    return json.dumps(payload, indent=indent)
+
+
+class TestEncodeOnce:
+    """The artifact is encoded once; the bytes are what they always were."""
+
+    def corpus(self):
+        session = CompilerSession()
+        for seed in range(24):
+            rng = np.random.default_rng([seed, 5])
+            chain = random_option_chain(1 + seed % 7, rng, allow_transpose=True)
+            yield session.compile(
+                chain,
+                num_training_instances=12,
+                seed=seed,
+                expand_by=seed % 2,
+                use_cache=False,
+            ).to_program()
+
+    def test_dumps_byte_identical_over_seeded_corpus(self):
+        for program in self.corpus():
+            assert program.dumps() == decode_reencode_dumps(program)
+            assert program.dumps(indent=2) == decode_reencode_dumps(program, 2)
+            restored = CompiledProgram.loads(program.dumps())
+            assert restored.dumps() == program.dumps()
+
+    def test_calibration_section_byte_identical(self):
+        import dataclasses
+
+        program = dataclasses.replace(
+            next(iter(self.corpus())),
+            calibration={"rates": {"GEMM": 1.5e9}, "updates": 3},
+        )
+        assert "calibration" in program.to_payload()
+        assert program.dumps() == decode_reencode_dumps(program)
+
+    def test_compile_response_embeds_the_payload(self):
+        from repro.serve.frontend import handle_request
+        from repro.serve.service import CompileService
+
+        service = CompileService(workers=1)
+        try:
+            response = handle_request(
+                service,
+                {"op": "compile", "artifact": True,
+                 "source": "Matrix A <General, Singular>; "
+                           "Matrix L <LowerTri, NonSingular>; R := A * L^-1;",
+                 "options": {"num_training_instances": 8}},
+            )
+        finally:
+            service.close()
+        artifact = response["artifact"]
+        assert isinstance(artifact, dict)
+        program = CompiledProgram.loads(json.dumps(artifact))
+        assert json.dumps(artifact) == program.dumps()
+
+
 class TestVersioning:
     def test_rejects_wrong_artifact_version(self):
         chain = general_chain(2)

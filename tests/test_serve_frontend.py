@@ -225,7 +225,7 @@ class TestHandleRequest:
         handle_request(
             service,
             {"op": "compile", "source": SOURCE_ABC,
-             "options": {"num_training_instances": 20}},
+             "options": {"num_training_instances": 20, "expand_by": 1}},
         )
         stats = handle_request(service, {"op": "stats"})
         assert stats["workers_mode"] == "thread"

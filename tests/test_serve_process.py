@@ -98,12 +98,14 @@ class TestProcessMode:
         from repro.errors import CompilationError
 
         # The back pipeline (which runs inside the worker process) refuses
-        # unbounded exhaustive enumeration on a long chain; the failure
-        # must surface through the future, not wedge the pool.
+        # unbounded exhaustive enumeration on a long chain (only expansion
+        # builds a pool); the failure must surface through the future, not
+        # wedge the pool.
         with pytest.raises(CompilationError, match="parenthesizations"):
             service.compile(
                 general_chain(16),
                 variant_space="exhaustive",
+                expand_by=1,
                 num_training_instances=TRAIN,
                 use_cache=False,
                 timeout=300,

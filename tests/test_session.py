@@ -157,14 +157,20 @@ class TestCachedCompile:
                 ctx.selected = list(ctx.require("variants"))
 
         chain = general_chain(5)
+        # With expansion requested the enumerate pass builds the whole
+        # exhaustive pool, which SelectAll keeps.
         default_session = CompilerSession(cache_dir=tmp_path)
-        base = default_session.compile(chain, num_training_instances=20)
+        base = default_session.compile(
+            chain, num_training_instances=20, expand_by=1
+        )
 
         custom = CompilerSession(
             pipeline=default_pipeline().replaced("select", SelectAll()),
             cache_dir=tmp_path,
         )
-        everything = custom.compile(chain, num_training_instances=20)
+        everything = custom.compile(
+            chain, num_training_instances=20, expand_by=1
+        )
         # The custom pipeline must compile for itself (14 = Catalan(4)
         # variants), not be served the default pipeline's Theorem 2 set.
         assert custom.cache_stats().misses == 1

@@ -295,6 +295,7 @@ class TestEquivalenceGuard:
                 chain,
                 num_training_instances=80,
                 variant_space=name,
+                expand_by=1,  # without expansion no pool is built
                 seed=7,
                 use_cache=False,
             )
@@ -398,7 +399,8 @@ class TestDiagnostics:
 
     def test_enumerate_pass_publishes_variant_pool_diagnostics(self):
         session = CompilerSession()
-        session.compile(general_chain(12), num_training_instances=40)
+        # Only expansion builds a variant-space pool.
+        session.compile(general_chain(12), num_training_instances=40, expand_by=1)
         pool = session.last_context.diagnostics["variant_pool"]
         assert pool["strategy"] == "dp"       # auto resolved by length
         assert pool["requested"] == "auto"    # the raw option, pre-resolution
@@ -527,6 +529,7 @@ class TestAdaptiveDPSpace:
             general_chain(12),
             num_training_instances=40,
             variant_space="dp-adaptive",
+            expand_by=1,
         )
         pool = session.last_context.diagnostics["variant_pool"]
         assert pool["strategy"] == "dp-adaptive"
